@@ -13,6 +13,8 @@
 //! * **Random** — uniform selection, the "iterative compilation without
 //!   active learning" ablation.
 
+use std::cmp::Ordering;
+
 use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 
@@ -87,18 +89,30 @@ impl Acquisition {
             Acquisition::Alm => model.alm_scores(candidates)?,
             Acquisition::Random => (0..candidates.len()).map(|_| rng.gen::<f64>()).collect(),
         };
-        // Pick the first maximum so that ties favour the earliest candidate.
-        // The learner lists fresh (unseen) candidates before revisit
-        // candidates, which makes ties resolve towards exploration.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &score) in scores.iter().enumerate() {
-            debug_assert!(score.is_finite(), "acquisition scores must be finite");
-            if best.is_none_or(|(_, b)| score > b) {
-                best = Some((i, score));
-            }
-        }
-        Ok(best.map(|(i, _)| i))
+        // Ties favour the earliest candidate: the learner lists fresh
+        // (unseen) candidates before revisit candidates, which makes ties
+        // resolve towards exploration.
+        Ok((0..scores.len()).min_by(|&a, &b| score_order(&scores, a, b)))
     }
+}
+
+/// The one ordering over acquisition scores, as a comparator on candidate
+/// indices into `scores`: higher score first, every NaN last, and ties —
+/// `-0.0` against `+0.0` included — broken by the lower index. It is total
+/// for any input, so sorts cannot panic on it and a NaN is never chosen
+/// over a real score.
+///
+/// # Panics
+///
+/// Panics if `a` or `b` is out of bounds for `scores`.
+pub fn score_order(scores: &[f64], a: usize, b: usize) -> Ordering {
+    let (x, y) = (scores[a], scores[b]);
+    let by_score = match (x.is_nan(), y.is_nan()) {
+        (false, false) if x > y => Ordering::Less,
+        (false, false) if x < y => Ordering::Greater,
+        (x_nan, y_nan) => x_nan.cmp(&y_nan),
+    };
+    by_score.then(a.cmp(&b))
 }
 
 impl Default for Acquisition {
@@ -117,6 +131,7 @@ impl std::fmt::Display for Acquisition {
 mod tests {
     use super::*;
     use alic_model::dynatree::{DynaTree, DynaTreeConfig};
+    use alic_model::traits::Prediction;
     use alic_model::SurrogateModel;
     use alic_stats::rng::seeded_rng;
 
@@ -209,6 +224,86 @@ mod tests {
                 .select(&model, &candidates, &FeatureMatrix::new(1), &mut rng)
                 .unwrap();
             assert_eq!(choice, Some(0), "{acquisition} must break ties earliest");
+        }
+    }
+
+    /// Scores candidate `i` as `self.0[i]` under every criterion.
+    #[derive(Debug)]
+    struct FixedScores(Vec<f64>);
+
+    impl SurrogateModel for FixedScores {
+        fn fit(&mut self, _xs: &[&[f64]], _ys: &[f64]) -> alic_model::Result<()> {
+            Ok(())
+        }
+        fn update(&mut self, _x: &[f64], _y: f64) -> alic_model::Result<()> {
+            Ok(())
+        }
+        fn predict(&self, _x: &[f64]) -> alic_model::Result<Prediction> {
+            Ok(Prediction::new(0.0, 0.0))
+        }
+        fn observation_count(&self) -> usize {
+            0
+        }
+        fn dimension(&self) -> Option<usize> {
+            Some(1)
+        }
+    }
+
+    impl ActiveSurrogate for FixedScores {
+        fn alm_scores(&self, candidates: &[&[f64]]) -> alic_model::Result<Vec<f64>> {
+            Ok(self.0[..candidates.len()].to_vec())
+        }
+        fn alc_scores(
+            &self,
+            candidates: &[&[f64]],
+            _reference: &[&[f64]],
+        ) -> alic_model::Result<Vec<f64>> {
+            self.alm_scores(candidates)
+        }
+    }
+
+    #[test]
+    fn a_nan_score_is_never_selected() {
+        let model = FixedScores(vec![f64::NAN, 1.0, 0.5]);
+        let candidates: Vec<&[f64]> = vec![&[0.0], &[0.5], &[1.0]];
+        let mut rng = seeded_rng(5);
+        for acquisition in [Acquisition::Alm, Acquisition::default_alc()] {
+            let choice = acquisition
+                .select(&model, &candidates, &FeatureMatrix::new(1), &mut rng)
+                .unwrap();
+            assert_eq!(choice, Some(1), "{acquisition} selected a NaN score");
+        }
+    }
+
+    #[test]
+    fn score_order_is_total_with_nans_last_and_signed_zeros_tied() {
+        let scores = [
+            0.5,
+            f64::NAN,
+            1.0,
+            -0.0,
+            -f64::NAN,
+            0.0,
+            f64::INFINITY,
+            1.0,
+            f64::NEG_INFINITY,
+        ];
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| score_order(&scores, a, b));
+        assert_eq!(order, [6, 2, 7, 0, 3, 5, 8, 1, 4]);
+        // Antisymmetric and transitive over every pair and triple.
+        let n = scores.len();
+        for a in 0..n {
+            for b in 0..n {
+                let ab = score_order(&scores, a, b);
+                assert_eq!(ab, score_order(&scores, b, a).reverse());
+                assert_eq!(ab == Ordering::Equal, a == b);
+                for c in 0..n {
+                    if ab.is_lt() && score_order(&scores, b, c).is_lt() {
+                        assert!(score_order(&scores, a, c).is_lt(), "{a} {b} {c}");
+                    }
+                }
+            }
         }
     }
 

@@ -279,8 +279,10 @@ impl WarmStore {
         })
     }
 
-    /// Persists the store through the verified atomic writer (write, fsync,
-    /// rename, read back; up to five attempts).
+    /// Persists the store through the verified atomic writer (write a temp
+    /// file, rename it into place, read it back; up to five attempts). No
+    /// sync is issued, so the store survives a killed process but not a
+    /// power loss.
     ///
     /// # Errors
     ///

@@ -1,27 +1,25 @@
-//! Split-proposal scan kernels: scalar, bitset+popcount and SIMD.
+//! Split-proposal scan kernels: fused scalar and bitset+popcount.
 //!
 //! A grow move evaluates a batch of candidate splits of one leaf. For each
 //! candidate `(dimension, threshold)` the scorer needs the left child's
-//! `(n, Σy, Σy²)`; the right child is `totals − left`. This module holds the
-//! three interchangeable kernels that produce those triples from a
-//! column-major copy of the leaf ([`LeafColumns`]):
+//! `(n, Σy, Σy²)`; the right child is `totals − left`. [`scan_left`]
+//! produces those triples from a column-major copy of the leaf
+//! ([`LeafColumns`]) and picks its kernel by leaf length:
 //!
-//! * [`ScanKind::Scalar`] — the reference: one branch-free pass per attempt
-//!   accumulating `acc += mask * value` with a 0/1 comparison mask,
-//! * [`ScanKind::Bitset`] — packs the comparison mask into u64 words
-//!   ([`alic_stats::bitset`]), takes the count with `popcnt` and accumulates
-//!   the sums over the set bits in ascending order,
-//! * [`ScanKind::Simd`] — the bitset kernel with the mask words built by
-//!   SSE2 packed compares (`cfg`-gated to x86-64; elsewhere it falls back to
-//!   the scalar mask builder and is otherwise identical to `Bitset`).
+//! * below [`BITSET_MIN_LEN`] points, the fused scalar pass: one
+//!   branch-free sweep accumulating `acc += mask * value` with a 0/1
+//!   comparison mask, every live attempt's accumulators carried at once;
+//! * at or above it, the bitset kernel: the comparison mask is packed into
+//!   u64 words ([`alic_stats::bitset`], built with SSE2 packed compares on
+//!   x86-64), the count comes from `popcnt` and the sums accumulate over
+//!   the set bits in ascending order.
 //!
-//! All three are **bit-identical** by construction — same comparisons, and
-//! sums whose skipped terms are exact `±0.0` no-ops (see
-//! [`alic_stats::bitset`] for the argument) — which
-//! `tests/scan_identity.rs` pins with property tests and the committed
-//! `scan_variants` bench races side by side. [`DEFAULT_SCAN_KIND`] selects
-//! the winner on the benched host; changing it can never change results,
-//! only speed.
+//! [`scan_left_direct`] is the fused scalar pass over a streamed point
+//! list, for leaves not worth gathering. All paths are **bit-identical**
+//! by construction — same comparisons, and sums whose skipped terms are
+//! exact `±0.0` no-ops (see [`alic_stats::bitset`] for the argument) —
+//! which `tests/scan_identity.rs` pins with property tests on both sides
+//! of the cutover. The cutover can never change results, only speed.
 
 use std::cell::RefCell;
 
@@ -30,34 +28,11 @@ use alic_stats::bitset;
 /// Split-proposal attempts evaluated per fused scan of the gathered leaf.
 pub const ATTEMPT_BATCH: usize = 8;
 
-/// Which split-scan kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Reference mask-multiply scan: one fused pass with every live
-    /// attempt's three accumulators carried simultaneously, so the
-    /// independent add chains hide FP latency even at small leaf sizes.
-    Scalar,
-    /// u64 mask words, `popcnt` counts, set-bit-ordered sums.
-    Bitset,
-    /// [`ScanKind::Bitset`] with SSE2-packed mask construction on x86-64.
-    Simd,
-    /// Length dispatch: [`ScanKind::Scalar`] below
-    /// [`BITSET_MIN_LEN`] points, [`ScanKind::Simd`] at or above it. The
-    /// bitset kernels amortize their mask-building pass only once a leaf
-    /// spans several words; short leaves (the common case deep in a grown
-    /// tree) stay on the fused scalar pass.
-    Auto,
-}
-
-/// Leaf size at which [`ScanKind::Auto`] switches from the fused scalar
-/// kernel to the SIMD bitset kernel — the crossover in the committed
-/// `scan_variants` bench on the benched host.
+/// Leaf size at which [`scan_left`] switches from the fused scalar kernel
+/// to the bitset kernel. The mask-building pass only amortizes once a leaf
+/// spans several words; short leaves (the common case deep in a grown
+/// tree) stay on the fused scalar pass.
 pub const BITSET_MIN_LEN: usize = 256;
-
-/// The kernel the dynamic tree uses in production: fastest in the committed
-/// `scan_variants` bench on the benched host (see README "Performance").
-/// All kinds are bit-identical, so this is purely a speed choice.
-pub const DEFAULT_SCAN_KIND: ScanKind = ScanKind::Auto;
 
 /// Column-major copy of one leaf's points: per-dimension feature columns
 /// plus the target column, all contiguous and in point-list order.
@@ -146,19 +121,18 @@ impl LeafColumns {
 }
 
 thread_local! {
-    /// Per-thread mask-word scratch for the bitset kernels; proposal scans
+    /// Per-thread mask-word scratch for the bitset kernel; proposal scans
     /// run inside the parallel move-decision pass, so the scratch cannot
     /// live in the (shared) gathered columns.
     static MASK_WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs the selected kernel over the first `live` attempts, returning each
-/// attempt's left-side `(n, Σy, Σy²)` in the first `live` entries of the
-/// three output arrays. Every kind accumulates per attempt in point order,
-/// so the triples are bit-identical across kinds (and to an
+/// Scans the first `live` attempts, returning each attempt's left-side
+/// `(n, Σy, Σy²)` in the first `live` entries of the three output arrays.
+/// Both kernels accumulate per attempt in point order, so the triples are
+/// bit-identical across the [`BITSET_MIN_LEN`] cutover (and to an
 /// attempt-at-a-time evaluation).
 pub fn scan_left(
-    kind: ScanKind,
     columns: &LeafColumns,
     dims: &[usize; ATTEMPT_BATCH],
     thresholds: &[f64; ATTEMPT_BATCH],
@@ -168,70 +142,60 @@ pub fn scan_left(
     [f64; ATTEMPT_BATCH],
     [f64; ATTEMPT_BATCH],
 ) {
-    let kind = match kind {
-        ScanKind::Auto if columns.len() < BITSET_MIN_LEN => ScanKind::Scalar,
-        ScanKind::Auto => ScanKind::Simd,
-        other => other,
-    };
     let mut n = [0.0f64; ATTEMPT_BATCH];
     let mut s = [0.0f64; ATTEMPT_BATCH];
     let mut q = [0.0f64; ATTEMPT_BATCH];
-    match kind {
-        ScanKind::Auto => unreachable!("resolved above"),
-        ScanKind::Scalar => {
-            // Monomorphize the fused pass on the live-attempt count so all
-            // `3 × live` accumulators stay in registers.
-            match live {
-                1 => scan_scalar_fused::<1>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                2 => scan_scalar_fused::<2>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                3 => scan_scalar_fused::<3>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                4 => scan_scalar_fused::<4>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                5 => scan_scalar_fused::<5>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                6 => scan_scalar_fused::<6>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                7 => scan_scalar_fused::<7>(columns, dims, thresholds, &mut n, &mut s, &mut q),
-                _ => scan_scalar_fused::<8>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+    if columns.len() < BITSET_MIN_LEN {
+        // Monomorphize the fused pass on the live-attempt count so all
+        // `3 × live` accumulators stay in registers.
+        match live {
+            1 => scan_scalar_fused::<1>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            2 => scan_scalar_fused::<2>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            3 => scan_scalar_fused::<3>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            4 => scan_scalar_fused::<4>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            5 => scan_scalar_fused::<5>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            6 => scan_scalar_fused::<6>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            7 => scan_scalar_fused::<7>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+            _ => scan_scalar_fused::<8>(columns, dims, thresholds, &mut n, &mut s, &mut q),
+        }
+        return (n, s, q);
+    }
+    let ys = columns.targets();
+    let ys_sq = columns.targets_sq();
+    let word_count = columns.len().div_ceil(bitset::WORD_BITS);
+    MASK_WORDS.with(|cell| {
+        let words = &mut *cell.borrow_mut();
+        // Stage 1: one mask strip per attempt (attempt `k` occupies
+        // `words[k * word_count..]`), counts via popcount.
+        words.clear();
+        words.resize(live * word_count, 0);
+        for k in 0..live {
+            let strip = &mut words[k * word_count..(k + 1) * word_count];
+            fill_mask(columns.feature_column(dims[k]), thresholds[k], strip);
+            n[k] = bitset::count_ones(strip) as f64;
+        }
+        // Stage 2: fused masked sums. Attempts are interleaved at word
+        // granularity so their (independent) accumulator chains overlap;
+        // within each attempt the set bits are still visited in ascending
+        // point order, which keeps every attempt's sums bit-identical to
+        // the scalar reference.
+        for w in 0..word_count {
+            let base = w * bitset::WORD_BITS;
+            for k in 0..live {
+                let mut bits = words[k * word_count + w];
+                let mut sk = s[k];
+                let mut qk = q[k];
+                while bits != 0 {
+                    let i = base + bits.trailing_zeros() as usize;
+                    sk += ys[i];
+                    qk += ys_sq[i];
+                    bits &= bits - 1;
+                }
+                s[k] = sk;
+                q[k] = qk;
             }
         }
-        ScanKind::Bitset | ScanKind::Simd => {
-            let ys = columns.targets();
-            let ys_sq = columns.targets_sq();
-            let word_count = columns.len().div_ceil(bitset::WORD_BITS);
-            MASK_WORDS.with(|cell| {
-                let words = &mut *cell.borrow_mut();
-                // Stage 1: one mask strip per attempt (attempt `k` occupies
-                // `words[k * word_count..]`), counts via popcount.
-                words.clear();
-                words.resize(live * word_count, 0);
-                for k in 0..live {
-                    let strip = &mut words[k * word_count..(k + 1) * word_count];
-                    let col = columns.feature_column(dims[k]);
-                    fill_mask(kind, col, thresholds[k], strip);
-                    n[k] = bitset::count_ones(strip) as f64;
-                }
-                // Stage 2: fused masked sums. Attempts are interleaved at
-                // word granularity so their (independent) accumulator
-                // chains overlap; within each attempt the set bits are
-                // still visited in ascending point order, which keeps every
-                // attempt's sums bit-identical to the scalar reference.
-                for w in 0..word_count {
-                    let base = w * bitset::WORD_BITS;
-                    for k in 0..live {
-                        let mut bits = words[k * word_count + w];
-                        let mut sk = s[k];
-                        let mut qk = q[k];
-                        while bits != 0 {
-                            let i = base + bits.trailing_zeros() as usize;
-                            sk += ys[i];
-                            qk += ys_sq[i];
-                            bits &= bits - 1;
-                        }
-                        s[k] = sk;
-                        q[k] = qk;
-                    }
-                }
-            });
-        }
-    }
+    });
     (n, s, q)
 }
 
@@ -339,15 +303,12 @@ fn scan_scalar_fused<const K: usize>(
     q[..K].copy_from_slice(&qk);
 }
 
-/// Builds the `<= threshold` mask words with the kind's mask builder.
+/// Builds the `<= threshold` mask words (SSE2 packed compares on x86-64).
 #[inline]
-fn fill_mask(kind: ScanKind, column: &[f64], threshold: f64, words: &mut [u64]) {
+fn fill_mask(column: &[f64], threshold: f64, words: &mut [u64]) {
     #[cfg(target_arch = "x86_64")]
-    if kind == ScanKind::Simd {
-        bitset::fill_mask_le_simd_into(column, threshold, words);
-        return;
-    }
-    let _ = kind;
+    bitset::fill_mask_le_simd_into(column, threshold, words);
+    #[cfg(not(target_arch = "x86_64"))]
     bitset::fill_mask_le_into(column, threshold, words);
 }
 
@@ -355,7 +316,7 @@ fn fill_mask(kind: ScanKind, column: &[f64], threshold: f64, words: &mut [u64]) 
 mod tests {
     use super::*;
 
-    fn sample_columns(len: usize, n_dims: usize) -> LeafColumns {
+    fn sample_rows(len: usize, n_dims: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..len)
             .map(|i| {
                 (0..n_dims)
@@ -366,6 +327,11 @@ mod tests {
         let ys: Vec<f64> = (0..len)
             .map(|i| ((i * 23 + 7) % 89) as f64 / 11.0 - 4.0)
             .collect();
+        (rows, ys)
+    }
+
+    fn sample_columns(len: usize, n_dims: usize) -> LeafColumns {
+        let (rows, ys) = sample_rows(len, n_dims);
         let mut columns = LeafColumns::default();
         columns.fill(
             n_dims,
@@ -399,32 +365,25 @@ mod tests {
     }
 
     #[test]
-    fn all_kinds_produce_bit_identical_triples() {
-        for len in [1, 2, 5, 63, 64, 65, 130] {
+    fn scan_left_matches_the_direct_stream_bit_for_bit() {
+        // Lengths on both sides of the bitset cutover.
+        for len in [1, 2, 5, 63, 64, 65, 130, 255, 256, 257, 300] {
+            let (rows, ys) = sample_rows(len, 3);
             let columns = sample_columns(len, 3);
             let dims = [0usize, 1, 2, 0, 1, 2, 0, 1];
             let thresholds = [-2.5, -1.0, 0.0, 0.5, 1.5, 2.5, 3.5, -4.0];
             let live = 8;
-            let (n0, s0, q0) = scan_left(ScanKind::Scalar, &columns, &dims, &thresholds, live);
-            for kind in [ScanKind::Bitset, ScanKind::Simd, ScanKind::Auto] {
-                let (n1, s1, q1) = scan_left(kind, &columns, &dims, &thresholds, live);
-                for k in 0..live {
-                    assert_eq!(
-                        n0[k].to_bits(),
-                        n1[k].to_bits(),
-                        "{kind:?} n len={len} k={k}"
-                    );
-                    assert_eq!(
-                        s0[k].to_bits(),
-                        s1[k].to_bits(),
-                        "{kind:?} s len={len} k={k}"
-                    );
-                    assert_eq!(
-                        q0[k].to_bits(),
-                        q1[k].to_bits(),
-                        "{kind:?} q len={len} k={k}"
-                    );
-                }
+            let (n0, s0, q0) = scan_left_direct(
+                rows.iter().map(Vec::as_slice).zip(ys.iter().copied()),
+                &dims,
+                &thresholds,
+                live,
+            );
+            let (n1, s1, q1) = scan_left(&columns, &dims, &thresholds, live);
+            for k in 0..live {
+                assert_eq!(n0[k].to_bits(), n1[k].to_bits(), "n len={len} k={k}");
+                assert_eq!(s0[k].to_bits(), s1[k].to_bits(), "s len={len} k={k}");
+                assert_eq!(q0[k].to_bits(), q1[k].to_bits(), "q len={len} k={k}");
             }
         }
     }

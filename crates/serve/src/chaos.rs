@@ -83,15 +83,45 @@ pub fn write_reply<W: Write>(out: &mut W, reply: &str) -> std::io::Result<()> {
             "chaos: injected torn reply",
         ));
     }
-    out.write_all(reply.as_bytes())?;
-    out.write_all(b"\n")?;
+    // One write per line: on TCP a separate newline write would sit behind
+    // Nagle's algorithm until the client's delayed ACK.
+    out.write_all(format!("{reply}\n").as_bytes())?;
     out.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alic_stats::fault::{exclusive, injections, FaultPlan};
+    use alic_stats::fault::{exclusive, exclusive_clean, injections, FaultPlan};
+
+    /// Records how many `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_line_is_one_write() {
+        let _guard = exclusive_clean();
+        let mut out = CountingWriter::default();
+        write_reply(&mut out, "ok suggest 3,2 9,1").unwrap();
+        assert_eq!(out.writes, 1);
+        write_reply(&mut out, "ok bye").unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(out.bytes, b"ok suggest 3,2 9,1\nok bye\n");
+    }
 
     #[test]
     fn chaos_sites_tear_reads_and_replies_deterministically() {

@@ -17,6 +17,7 @@
 
 use std::collections::HashSet;
 
+use alic_core::acquisition::score_order;
 use alic_data::io::JsonValue;
 use alic_model::snapshot::{restore_snapshot, Snapshot};
 use alic_model::spec::SurrogateSpec;
@@ -266,8 +267,9 @@ impl TuningSession {
     /// count)`, already-observed configurations are filtered out, and with
     /// a fitted model candidates are ranked by their ALC score against the
     /// most recent [`REFERENCE_WINDOW`] observations (ties break on draw
-    /// order). Identical log ⇒ identical reply — before or after a daemon
-    /// restart, which is the restart-resume guarantee for reads.
+    /// order, NaN scores rank last). Identical log ⇒ identical reply —
+    /// before or after a daemon restart, which is the restart-resume
+    /// guarantee for reads.
     ///
     /// # Errors
     ///
@@ -302,12 +304,7 @@ impl TuningSession {
         let ref_views: Vec<&[f64]> = ref_rows.iter().map(|r| r.as_slice()).collect();
         let scores = model.alc_scores(&views, &ref_views)?;
         let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| score_order(&scores, a, b));
         Ok(order[..take]
             .iter()
             .map(|&i| candidates[i].clone())

@@ -2,26 +2,27 @@
 //!
 //! The dynamic tree's grow move ranks candidate splits by leaf marginal
 //! likelihoods computed from `(count, Σy, Σy²)` triples, and the committed
-//! goldens pin its output byte-for-byte — so every scan kernel
-//! (`Scalar`, `Bitset`, `Simd`, the length-dispatching `Auto`, and the
-//! no-copy direct stream) must produce **bit-identical** triples, not merely
-//! close ones. These properties drive randomized leaf shapes through every
-//! kernel and assert:
+//! goldens pin its output byte-for-byte — so every scan kernel (the fused
+//! scalar pass and the bitset kernel behind `scan_left`'s length cutover,
+//! and the no-copy direct stream) must produce **bit-identical** triples,
+//! not merely close ones. These properties drive randomized leaf shapes on
+//! both sides of the cutover through `scan_left` and through the streamed
+//! scalar reference `scan_left_direct`, and assert:
 //!
-//! 1. the `(n, Σy, Σy²)` triples agree to the bit across kernels, and
+//! 1. the `(n, Σy, Σy²)` triples agree to the bit, and
 //! 2. therefore the grow move's likelihood scores and its selected split
 //!    (argmax with first-wins tie-breaking, exactly like `propose_split`)
 //!    agree to the bit as well — the property that keeps the committed
-//!    dynatree goldens invariant under kernel selection.
+//!    dynatree goldens invariant under the kernel a leaf's length picks.
 
 use alic::model::dynatree::scan::{
-    scan_left, scan_left_direct, LeafColumns, ScanKind, ATTEMPT_BATCH, BITSET_MIN_LEN,
+    scan_left, scan_left_direct, LeafColumns, ATTEMPT_BATCH, BITSET_MIN_LEN,
 };
 use alic::model::leaf::{log_marginal_likelihood_of_sums, LeafPrior, LnGammaTable};
 use proptest::prelude::*;
 
-// The property runs leaves of 1..600 points, so both sides of the Auto
-// dispatch (fused scalar below the cutover, SIMD bitset above) are exercised.
+// The property runs leaves of 1..600 points, so both sides of the length
+// cutover (fused scalar below it, bitset above) are exercised.
 const _: () = assert!(
     BITSET_MIN_LEN < 600,
     "len range must reach the bitset regime"
@@ -100,19 +101,13 @@ proptest! {
             thresholds[k] = xs[(seed as usize + k * 17) % len][dims[k]];
         }
 
-        let reference = scan_left(ScanKind::Scalar, &columns, &dims, &thresholds, live);
-        let direct = scan_left_direct(
+        let reference = scan_left_direct(
             xs.iter().map(Vec::as_slice).zip(ys.iter().copied()),
             &dims,
             &thresholds,
             live,
         );
-        let kinds = [ScanKind::Bitset, ScanKind::Simd, ScanKind::Auto];
-        let mut scanned: Vec<_> = kinds
-            .iter()
-            .map(|&kind| scan_left(kind, &columns, &dims, &thresholds, live))
-            .collect();
-        scanned.push(direct);
+        let triple = scan_left(&columns, &dims, &thresholds, live);
 
         let prior = LeafPrior::weakly_informative(0.0, 1.0);
         let mut table = LnGammaTable::new(&prior);
@@ -132,29 +127,27 @@ proptest! {
             })
         };
 
-        for (triple, label) in scanned.iter().zip(["bitset", "simd", "auto", "direct"]) {
-            for k in 0..live {
-                prop_assert_eq!(
-                    triple.0[k].to_bits(), reference.0[k].to_bits(),
-                    "{}: count diverged at attempt {} (len {})", label, k, len
-                );
-                prop_assert_eq!(
-                    triple.1[k].to_bits(), reference.1[k].to_bits(),
-                    "{}: Σy diverged at attempt {} (len {})", label, k, len
-                );
-                prop_assert_eq!(
-                    triple.2[k].to_bits(), reference.2[k].to_bits(),
-                    "{}: Σy² diverged at attempt {} (len {})", label, k, len
-                );
-                prop_assert_eq!(
-                    score(triple, k).to_bits(), score(&reference, k).to_bits(),
-                    "{}: likelihood diverged at attempt {}", label, k
-                );
-            }
+        for k in 0..live {
             prop_assert_eq!(
-                argmax(triple), argmax(&reference),
-                "{}: selected a different split", label
+                triple.0[k].to_bits(), reference.0[k].to_bits(),
+                "count diverged at attempt {} (len {})", k, len
+            );
+            prop_assert_eq!(
+                triple.1[k].to_bits(), reference.1[k].to_bits(),
+                "Σy diverged at attempt {} (len {})", k, len
+            );
+            prop_assert_eq!(
+                triple.2[k].to_bits(), reference.2[k].to_bits(),
+                "Σy² diverged at attempt {} (len {})", k, len
+            );
+            prop_assert_eq!(
+                score(&triple, k).to_bits(), score(&reference, k).to_bits(),
+                "likelihood diverged at attempt {} (len {})", k, len
             );
         }
+        prop_assert_eq!(
+            argmax(&triple), argmax(&reference),
+            "selected a different split (len {})", len
+        );
     }
 }
