@@ -203,8 +203,8 @@ impl ComparisonOutcome {
 ///
 /// Since the campaign-runner refactor this is a thin wrapper over a
 /// single-kernel, single-model [`CampaignSpec`](crate::runner::CampaignSpec):
-/// one work unit per `(plan, repetition)` pair, executed on the
-/// work-stealing pool with deterministic per-unit derived seeds
+/// one work unit per `(plan, repetition)` pair, executed in parallel with
+/// deterministic per-unit derived seeds
 /// ([`runner::execute_unit`](crate::runner::execute_unit)), then folded by
 /// the pure merge step [`assemble_outcome`]. Larger matrices — many kernels,
 /// many model families, sharded across processes with on-disk checkpoints —
@@ -212,7 +212,8 @@ impl ComparisonOutcome {
 ///
 /// # Errors
 ///
-/// Propagates learner errors (for example inconsistent configurations).
+/// Returns [`CoreError::Campaign`](crate::CoreError::Campaign) when a unit
+/// fails every attempt (for example on an inconsistent configuration).
 pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<ComparisonOutcome> {
     let campaign = crate::runner::CampaignSpec::single(spec.clone(), config.clone());
     let report = crate::runner::run_campaign(&campaign)?;

@@ -214,7 +214,7 @@ impl CampaignLedger {
             )));
         }
         let indices: Vec<usize> = (0..expected).collect();
-        // Loading is pure per-unit work; reuse the work-stealing pool.
+        // Loading is pure per-unit work; reuse the unit layer's workers.
         crate::runner::map_units(&indices, |&i| self.load_unit(i))
             .into_iter()
             .collect()
@@ -472,7 +472,7 @@ fn validate_manifest(existing: &JsonValue, wanted: &JsonValue, path: &Path) -> R
 mod tests {
     use super::*;
     use crate::runner::tests::tiny_campaign;
-    use crate::runner::{assemble_report, execute_units, run_campaign};
+    use crate::runner::{assemble_report, execute_units_resilient, run_campaign};
 
     fn temp_dir(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -491,7 +491,7 @@ mod tests {
 
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_units_resilient(&spec, &indices, &sink).unwrap();
 
         // A stray torn tmp file from a kill must not confuse the ledger.
         fs::write(dir.join("units").join("unit-000001.json.tmp"), "{gar").unwrap();
@@ -519,7 +519,7 @@ mod tests {
         let dir = temp_dir("incomplete");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[0, 2, 5], &sink).unwrap();
+        execute_units_resilient(&spec, &[0, 2, 5], &sink).unwrap();
 
         assert_eq!(
             ledger
@@ -580,7 +580,7 @@ mod tests {
         let dir = temp_dir("manifest-heal");
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[0, 1], &sink).unwrap();
+        execute_units_resilient(&spec, &[0, 1], &sink).unwrap();
         let healthy = fs::read_to_string(ledger.manifest_path()).unwrap();
 
         for broken in [&healthy[..healthy.len() / 2], ""] {
@@ -614,7 +614,7 @@ mod tests {
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_units_resilient(&spec, &indices, &sink).unwrap();
         let report = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
         let path = ledger.write_report(&report).unwrap();
         let healthy = fs::read_to_string(&path).unwrap();
@@ -644,7 +644,7 @@ mod tests {
         let ledger = CampaignLedger::open(&dir, &spec).unwrap();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &indices, &sink).unwrap();
+        execute_units_resilient(&spec, &indices, &sink).unwrap();
         let baseline = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
 
         // Damage three records three different ways: garbage, truncation,
@@ -667,7 +667,7 @@ mod tests {
 
         // Re-executing exactly the quarantined units completes the campaign
         // with a byte-identical report.
-        execute_units(&spec, &recovery.quarantined, &sink).unwrap();
+        execute_units_resilient(&spec, &recovery.quarantined, &sink).unwrap();
         let healed = assemble_report(&spec, ledger.load_all(&spec).unwrap()).unwrap();
         assert_eq!(
             healed.to_json_string().unwrap(),
@@ -686,7 +686,7 @@ mod tests {
         assert!(ledger.load_unit(0).is_err());
         // A record whose body disagrees with its file name is corruption too.
         let sink = |record: &UnitRecord| ledger.record(record);
-        execute_units(&spec, &[3], &sink).unwrap();
+        execute_units_resilient(&spec, &[3], &sink).unwrap();
         fs::copy(
             dir.join("units").join("unit-000003.json"),
             dir.join("units").join("unit-000004.json"),

@@ -5,7 +5,7 @@
 //! [`SurrogateSpec`] model families. This module decomposes any such matrix
 //! into independent **work units** — one `(kernel, model, plan, repetition)`
 //! cell each, with deterministic per-unit derived seeds — and executes them
-//! on rayon's work-stealing thread pool. Each completed unit can be
+//! in parallel on the runner's worker threads. Each completed unit can be
 //! checkpointed as a JSON record in an on-disk [`CampaignLedger`], which
 //! makes every experiment built on the runner:
 //!
@@ -363,11 +363,14 @@ pub fn execute_unit_capturing(
     Ok((run, model))
 }
 
-/// Order-preserving work-stealing parallel map — the executor primitive
-/// beneath [`execute_units`], exposed so experiment stages with their own
+/// Order-preserving parallel map — the executor primitive beneath
+/// [`execute_units_resilient`], exposed so experiment stages with their own
 /// unit shape (for example Table 2's per-kernel noise rows) run on the same
-/// pool. Results are written back by index, so the output is independent of
-/// the thread count and scheduling order.
+/// workers. Results are written back by index, so the output is independent
+/// of the thread count and scheduling order.
+///
+/// This is the workspace's only parallel layer: the surrogate models and
+/// everything else inside a unit run serially.
 pub fn map_units<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -375,37 +378,6 @@ where
     F: Fn(&I) -> T + Sync + Send,
 {
     items.par_iter().map(f).collect()
-}
-
-/// Executes the given unit indices on the work-stealing pool, invoking
-/// `checkpoint` for every completed unit (the on-disk ledger passes
-/// [`CampaignLedger::record`]; in-memory callers pass a no-op).
-///
-/// Kernel contexts (dataset + split) are prepared once per distinct kernel
-/// appearing in `indices`, in parallel, before any unit runs.
-///
-/// # Errors
-///
-/// Returns the first unit execution or checkpoint error.
-pub fn execute_units<F>(
-    spec: &CampaignSpec,
-    indices: &[usize],
-    checkpoint: &F,
-) -> Result<Vec<UnitRecord>>
-where
-    F: Fn(&UnitRecord) -> Result<()> + Sync,
-{
-    let contexts = UnitContexts::prepare(spec, indices)?;
-    indices
-        .par_iter()
-        .map(|&index| {
-            let key = spec.unit(index);
-            let run = execute_unit(spec, contexts.for_kernel(key.kernel), key)?;
-            let record = make_record(spec, index, key, run);
-            checkpoint(&record)?;
-            Ok(record)
-        })
-        .collect()
 }
 
 /// The per-kernel contexts shared by every unit of one executor call.
@@ -498,12 +470,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Panic-isolated, failure-tolerant variant of [`execute_units`]: every unit
+/// Executes the given unit indices in parallel, invoking `checkpoint` for
+/// every completed unit (the on-disk ledger passes
+/// [`CampaignLedger::record`]; in-memory callers pass a no-op).
+///
+/// Kernel contexts (dataset + split) are prepared once per distinct kernel
+/// appearing in `indices`, in parallel, before any unit runs. Every unit
 /// runs inside `catch_unwind`, so one panicking unit (or a transient
 /// evaluator/checkpoint error) becomes a [`UnitFailure`] after
 /// [`UNIT_ATTEMPTS`] bounded re-executions instead of poisoning the whole
-/// campaign. Completed units are checkpointed exactly as in
-/// [`execute_units`].
+/// campaign.
 ///
 /// # Errors
 ///
@@ -518,35 +494,31 @@ where
     F: Fn(&UnitRecord) -> Result<()> + Sync,
 {
     let contexts = UnitContexts::prepare(spec, indices)?;
-    let results: Vec<std::result::Result<UnitRecord, UnitFailure>> = indices
-        .par_iter()
-        .map(|&index| {
-            let key = spec.unit(index);
-            let mut last_error = String::new();
-            for _ in 0..UNIT_ATTEMPTS {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || -> Result<UnitRecord> {
-                        let run = execute_unit(spec, contexts.for_kernel(key.kernel), key)?;
-                        let record = make_record(spec, index, key, run);
-                        checkpoint(&record)?;
-                        Ok(record)
-                    },
-                ));
-                match attempt {
-                    Ok(Ok(record)) => return Ok(record),
-                    Ok(Err(e)) => last_error = e.to_string(),
-                    Err(payload) => last_error = format!("panic: {}", panic_message(&*payload)),
-                }
+    let results: Vec<std::result::Result<UnitRecord, UnitFailure>> = map_units(indices, |&index| {
+        let key = spec.unit(index);
+        let mut last_error = String::new();
+        for _ in 0..UNIT_ATTEMPTS {
+            let attempt =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<UnitRecord> {
+                    let run = execute_unit(spec, contexts.for_kernel(key.kernel), key)?;
+                    let record = make_record(spec, index, key, run);
+                    checkpoint(&record)?;
+                    Ok(record)
+                }));
+            match attempt {
+                Ok(Ok(record)) => return Ok(record),
+                Ok(Err(e)) => last_error = e.to_string(),
+                Err(payload) => last_error = format!("panic: {}", panic_message(&*payload)),
             }
-            Err(UnitFailure {
-                index,
-                kernel: spec.kernels[key.kernel].name().to_string(),
-                model: spec.models[key.model].name().to_string(),
-                error: last_error,
-                attempts: UNIT_ATTEMPTS,
-            })
+        }
+        Err(UnitFailure {
+            index,
+            kernel: spec.kernels[key.kernel].name().to_string(),
+            model: spec.models[key.model].name().to_string(),
+            error: last_error,
+            attempts: UNIT_ATTEMPTS,
         })
-        .collect();
+    });
 
     let mut outcome = ExecutionOutcome {
         records: Vec::with_capacity(results.len()),
@@ -849,18 +821,26 @@ pub fn assemble_report_with_failures(
     })
 }
 
-/// Runs a whole campaign in memory — every unit on the work-stealing pool,
-/// no ledger — and merges the results. This is the path the classic
-/// experiment entry points ([`compare_plans`](crate::experiment::compare_plans),
+/// Runs a whole campaign in memory — every unit through
+/// [`execute_units_resilient`], no ledger — and merges the results. This is
+/// the path the classic experiment entry points
+/// ([`compare_plans`](crate::experiment::compare_plans),
 /// `table1::run_for_kernels_with`) go through.
 ///
 /// # Errors
 ///
-/// Propagates unit execution and merge errors.
+/// Returns [`CoreError::Campaign`] naming the first unit that failed every
+/// attempt, and propagates configuration and merge errors.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport> {
     let indices: Vec<usize> = (0..spec.unit_count()).collect();
-    let records = execute_units(spec, &indices, &|_| Ok(()))?;
-    assemble_report(spec, records)
+    let outcome = execute_units_resilient(spec, &indices, &|_| Ok(()))?;
+    if let Some(failure) = outcome.failures.first() {
+        return Err(CoreError::Campaign(format!(
+            "unit {} ({} / {}) failed after {} attempts: {}",
+            failure.index, failure.kernel, failure.model, failure.attempts, failure.error
+        )));
+    }
+    assemble_report(spec, outcome.records)
 }
 
 #[cfg(test)]
@@ -993,7 +973,7 @@ mod tests {
         let spec = tiny_campaign();
         let bad = vec![spec.unit_count()];
         assert!(matches!(
-            execute_units(&spec, &bad, &|_| Ok(())),
+            execute_units_resilient(&spec, &bad, &|_| Ok(())),
             Err(CoreError::InvalidConfig(_))
         ));
     }
@@ -1026,8 +1006,14 @@ mod tests {
         // Execute the units in reverse order, in two calls, and merge.
         let mut indices: Vec<usize> = (0..spec.unit_count()).rev().collect();
         let (first, second) = indices.split_at_mut(5);
-        let mut records = execute_units(&spec, first, &|_| Ok(())).unwrap();
-        records.extend(execute_units(&spec, second, &|_| Ok(())).unwrap());
+        let mut records = execute_units_resilient(&spec, first, &|_| Ok(()))
+            .unwrap()
+            .records;
+        records.extend(
+            execute_units_resilient(&spec, second, &|_| Ok(()))
+                .unwrap()
+                .records,
+        );
         let merged = assemble_report(&spec, records).unwrap();
 
         assert_eq!(merged, baseline);
@@ -1041,7 +1027,9 @@ mod tests {
     fn assemble_report_rejects_missing_and_foreign_units() {
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let records = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
+        let records = execute_units_resilient(&spec, &indices, &|_| Ok(()))
+            .unwrap()
+            .records;
 
         let mut missing = records.clone();
         missing.pop();
@@ -1062,7 +1050,15 @@ mod tests {
     fn resilient_executor_without_faults_matches_the_plain_executor() {
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let plain = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
+        let contexts = UnitContexts::prepare(&spec, &indices).unwrap();
+        let plain: Vec<UnitRecord> = indices
+            .iter()
+            .map(|&index| {
+                let key = spec.unit(index);
+                let run = execute_unit(&spec, contexts.for_kernel(key.kernel), key).unwrap();
+                make_record(&spec, index, key, run)
+            })
+            .collect();
         let outcome = execute_units_resilient(&spec, &indices, &|_| Ok(())).unwrap();
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.records, plain);
@@ -1111,7 +1107,9 @@ mod tests {
     fn assemble_report_with_failures_uses_surviving_repetitions() {
         let spec = tiny_campaign();
         let indices: Vec<usize> = (0..spec.unit_count()).collect();
-        let records = execute_units(&spec, &indices, &|_| Ok(())).unwrap();
+        let records = execute_units_resilient(&spec, &indices, &|_| Ok(()))
+            .unwrap()
+            .records;
         let baseline = assemble_report(&spec, records.clone()).unwrap();
 
         // Fail one repetition of cell (alpha, dynatree), plan 0; the group's

@@ -40,6 +40,7 @@
 use std::path::PathBuf;
 
 use alic_core::runner::{self, CampaignLedger, CampaignReport, CampaignSpec};
+use alic_core::warmstore::{WarmKey, WarmStore};
 use alic_core::{CoreError, Result};
 use alic_model::SurrogateSpec;
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
@@ -368,28 +369,48 @@ pub fn run(options: &CampaignOptions) -> Result<()> {
 /// kernel × model and offers each trained surrogate to the warm store under
 /// the `"campaign"` noise regime. Families without snapshot support are
 /// skipped silently.
+///
+/// The units train on the runner's parallel layer; their snapshots are then
+/// inserted kernel-major in model order, so the store file does not depend
+/// on the thread count.
 fn harvest_warm_store(spec: &CampaignSpec, path: &std::path::Path) -> Result<()> {
-    use alic_core::warmstore::{WarmKey, WarmStore};
-    let mut store = WarmStore::open(path);
-    let mut harvested = 0usize;
-    for (kernel_index, kernel) in spec.kernels.iter().enumerate() {
-        let ctx = runner::KernelContext::prepare(kernel, &spec.base);
-        for (model_index, model_spec) in spec.models.iter().enumerate() {
-            let key = runner::UnitKey {
-                kernel: kernel_index,
-                model: model_index,
+    let kernel_ids: Vec<usize> = (0..spec.kernels.len()).collect();
+    let contexts = runner::map_units(&kernel_ids, |&k| {
+        runner::KernelContext::prepare(&spec.kernels[k], &spec.base)
+    });
+    let keys: Vec<runner::UnitKey> = kernel_ids
+        .iter()
+        .flat_map(|&kernel| {
+            (0..spec.models.len()).map(move |model| runner::UnitKey {
+                kernel,
+                model,
                 plan: 0,
                 repetition: 0,
-            };
-            let (_, model) = runner::execute_unit_capturing(spec, &ctx, key)?;
-            let Ok(snapshot) = model.snapshot() else {
-                continue;
-            };
-            let warm_key =
-                WarmKey::new(kernel.name(), kernel.space(), model_spec.name(), "campaign");
-            if store.insert(&warm_key, model.observation_count(), snapshot) {
-                harvested += 1;
-            }
+            })
+        })
+        .collect();
+    let trained = runner::map_units(&keys, |&key| -> Result<_> {
+        let (_, model) = runner::execute_unit_capturing(spec, &contexts[key.kernel], key)?;
+        Ok(model
+            .snapshot()
+            .ok()
+            .map(|snapshot| (model.observation_count(), snapshot)))
+    });
+    let mut store = WarmStore::open(path);
+    let mut harvested = 0usize;
+    for (key, result) in keys.iter().zip(trained) {
+        let Some((observations, snapshot)) = result? else {
+            continue;
+        };
+        let kernel = &spec.kernels[key.kernel];
+        let warm_key = WarmKey::new(
+            kernel.name(),
+            kernel.space(),
+            spec.models[key.model].name(),
+            "campaign",
+        );
+        if store.insert(&warm_key, observations, snapshot) {
+            harvested += 1;
         }
     }
     store.save()?;
@@ -597,5 +618,65 @@ mod tests {
         assert!(err.to_string().contains("--resume"), "{err}");
 
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// The serial harvest loop that [`harvest_warm_store`] replaced: one
+    /// kernel context and one unit at a time, inserting as it goes. Kept as
+    /// the reference the parallel harvest must reproduce byte for byte.
+    fn harvest_serially(spec: &CampaignSpec, store: &mut WarmStore) -> Result<()> {
+        for (kernel_index, kernel) in spec.kernels.iter().enumerate() {
+            let ctx = runner::KernelContext::prepare(kernel, &spec.base);
+            for (model_index, model_spec) in spec.models.iter().enumerate() {
+                let key = runner::UnitKey {
+                    kernel: kernel_index,
+                    model: model_index,
+                    plan: 0,
+                    repetition: 0,
+                };
+                let (_, model) = runner::execute_unit_capturing(spec, &ctx, key)?;
+                let Ok(snapshot) = model.snapshot() else {
+                    continue;
+                };
+                let warm_key =
+                    WarmKey::new(kernel.name(), kernel.space(), model_spec.name(), "campaign");
+                store.insert(&warm_key, model.observation_count(), snapshot);
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn parallel_harvest_writes_the_serial_loops_store_bytes() {
+        let mut base = Scale::Quick.comparison_config();
+        base.learner.max_iterations = 12;
+        base.dataset.configurations = 120;
+        base.train_size = 90;
+        base.repetitions = 1;
+        let spec = CampaignSpec::new(
+            vec![
+                spapt_kernel(SpaptKernel::Mvt),
+                spapt_kernel(SpaptKernel::Lu),
+            ],
+            vec![
+                SurrogateSpec::dynatree(15),
+                SurrogateSpec::from_name("gp").unwrap(),
+                SurrogateSpec::from_name("knn").unwrap(),
+            ],
+            base,
+        );
+        let dir = std::env::temp_dir().join(format!("alic-harvest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let mut reference = WarmStore::open(dir.join("serial.json"));
+        harvest_serially(&spec, &mut reference).unwrap();
+        reference.save().unwrap();
+        assert_eq!(reference.len(), 6);
+        harvest_warm_store(&spec, &dir.join("parallel.json")).unwrap();
+
+        let serial = std::fs::read(dir.join("serial.json")).unwrap();
+        let parallel = std::fs::read(dir.join("parallel.json")).unwrap();
+        assert!(serial == parallel, "harvested store bytes differ");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

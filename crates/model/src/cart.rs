@@ -7,7 +7,6 @@
 //! and serves both as a standalone baseline model and as a reference point
 //! for the dynamic tree's behaviour in tests.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use alic_data::io::JsonValue;
@@ -347,12 +346,6 @@ impl SurrogateModel for RegressionTree {
         let stats = self.leaf_for(x)?;
         let (mean, variance) = stats.predictive_mean_variance(&self.prior);
         Ok(Prediction::new(mean, variance))
-    }
-
-    fn predict_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Prediction>> {
-        // Tree traversals are independent; evaluate the batch in parallel
-        // with order-preserving write-back.
-        inputs.par_iter().map(|x| self.predict(x)).collect()
     }
 
     fn observation_count(&self) -> usize {

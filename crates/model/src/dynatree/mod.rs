@@ -27,14 +27,12 @@
 //!   run **once per unique tree**, and a duplicate only pays for a copy (a
 //!   handful of `memcpy`s into a recycled slot) when its first divergent
 //!   grow/prune move lands. Stay moves — the common case — keep sharing.
-//! * **Deterministic parallel updates.** Each particle's stochastic move is
+//! * **Per-particle RNG substreams.** Each particle's stochastic move is
 //!   decided with an RNG stream derived from
 //!   `(model seed, observation index, particle index)`
-//!   ([`seeded_substream`]), so the weight pass, the per-arena insert pass
-//!   and the per-particle move decisions all run on the rayon pool with
-//!   by-index write-back — `fit` and `update` are bit-identical across
-//!   thread counts. Only systematic resampling (one draw from the master
-//!   stream) and the copy-on-write slot assignment are serial passes.
+//!   ([`seeded_substream`]), so a decision does not depend on the order in
+//!   which the other particles are processed. Only systematic resampling
+//!   draws from the master stream.
 //! * **Persistent flat-node and leaf-moment caches.** Every arena keeps its
 //!   dense traversal array and per-leaf derived quantities (predictive
 //!   moments, log marginal likelihood, log-density constants backed by a
@@ -56,8 +54,7 @@
 //! index (no per-call block collection), share per-leaf contribution tables
 //! across candidates, traverse each **unique** tree once per candidate and
 //! accumulate multiplicity-weighted contributions in first-seen particle
-//! order — results are bit-identical to the single-point methods regardless
-//! of the thread count.
+//! order — results are bit-identical to the single-point methods.
 
 pub mod scan;
 pub mod tree;
@@ -68,7 +65,6 @@ use serde::{Deserialize, Serialize};
 use alic_data::io::JsonValue;
 use alic_stats::rng::{seeded_stream, Rng as StatsRng, SmallRng};
 use alic_stats::FeatureMatrix;
-use rayon::prelude::*;
 
 use crate::leaf::{log_marginal_likelihood_of_sums, LeafPrior, LnGammaTable};
 use crate::snapshot::{self, Snapshot};
@@ -82,9 +78,9 @@ pub use tree::{
     QueryBlock, Split, FLAT_LEAF,
 };
 
-/// Candidates per parallel scoring block. Each block accumulates its scores
+/// Candidates per scoring block. Each block accumulates its scores
 /// independently (per-candidate work is ordered by particle index), so the
-/// block size affects only scheduling granularity, never results.
+/// block size affects only memory locality, never results.
 const SCORE_BLOCK: usize = 64;
 
 /// "No group" sentinel in the arena→group scratch map.
@@ -133,8 +129,7 @@ enum Decision {
 
 /// Reusable per-update workspace: after the first few updates no buffer here
 /// is ever reallocated, which keeps the particle-learning step
-/// allocation-free on the common path (the thread-pool shim's internal
-/// per-call staging aside).
+/// allocation-free on the common path.
 #[derive(Debug, Clone, Default)]
 struct UpdateScratch {
     /// Per-particle log predictive densities of the new observation.
@@ -149,13 +144,14 @@ struct UpdateScratch {
     unique: Vec<u32>,
     /// Group index → leaf that contains the new observation.
     group_leaf: Vec<u32>,
+    /// Group index → log predictive density of the new observation.
+    group_log_density: Vec<f64>,
     /// Staging for the resampled particle→slot assignment.
     new_particles: Vec<u32>,
     /// Per-group gathered leaf columns for split proposals.
     gather: Vec<LeafColumns>,
-    /// Movers staged for the parallel apply pass:
-    /// `(particle, slot, leaf, decision)`.
-    movers: Vec<(u32, u32, u32, Decision)>,
+    /// Per-particle move decisions.
+    decisions: Vec<Decision>,
 }
 
 /// Particle-learning dynamic-tree regressor.
@@ -636,27 +632,23 @@ impl DynaTree {
         }
 
         // 2. Weight pass: one flat traversal + cached-density evaluation per
-        //    unique tree, in parallel, then broadcast to the particles.
+        //    unique tree, then broadcast to the particles.
         let groups = scratch.unique.len();
-        let weighted: Vec<(u32, f64)> = {
-            let arenas = &self.arenas;
-            let unique = &scratch.unique;
-            (0..groups)
-                .into_par_iter()
-                .map(|g| {
-                    let tree = &arenas[unique[g] as usize];
-                    let leaf = find_leaf_flat(tree.flat_nodes(), x);
-                    (leaf as u32, tree.leaf_moments()[leaf].log_density(y))
-                })
-                .collect()
-        };
         scratch.group_leaf.clear();
+        scratch.group_log_density.clear();
+        for &slot in &scratch.unique {
+            let tree = &self.arenas[slot as usize];
+            let leaf = find_leaf_flat(tree.flat_nodes(), x);
+            scratch.group_leaf.push(leaf as u32);
+            scratch
+                .group_log_density
+                .push(tree.leaf_moments()[leaf].log_density(y));
+        }
         scratch.log_weights.clear();
-        scratch.group_leaf.extend(weighted.iter().map(|&(l, _)| l));
         scratch.log_weights.extend(
-            self.particles
-                .iter()
-                .map(|&slot| weighted[scratch.arena_group[slot as usize] as usize].1),
+            self.particles.iter().map(|&slot| {
+                scratch.group_log_density[scratch.arena_group[slot as usize] as usize]
+            }),
         );
 
         // 3. Systematic resampling on the master stream (serial; one draw).
@@ -691,8 +683,6 @@ impl DynaTree {
         //    *surviving* unique tree. Inserting is O(1) per tree; the
         //    column gather is one walk of the leaf's point list, after
         //    which every sharer's proposal scan reads contiguous columns.
-        //    This pass runs serially in place — staging trees onto the
-        //    thread pool costs more than the work itself.
         scratch.gather.resize_with(groups, LeafColumns::default);
         let ctx = MomentCtx {
             prior: &self.prior,
@@ -724,50 +714,39 @@ impl DynaTree {
             }
         }
 
-        // 6. Decide every particle's move in parallel on its own
-        //    `(seed, observation, particle)` RNG stream.
-        let decisions: Vec<Decision> = {
-            let arenas = &self.arenas;
-            let particles = &self.particles;
-            let arena_group = &scratch.arena_group;
-            let group_leaf = &scratch.group_leaf;
-            let gather = &scratch.gather;
-            let config = &self.config;
-            let split_prior = &self.split_prior;
-            let xs = &self.xs;
-            let ys = &self.ys;
-            (0..particles.len())
-                .into_par_iter()
-                .map(|i| {
-                    let slot = particles[i] as usize;
-                    let g = arena_group[slot] as usize;
-                    let mut rng = SmallRng::substream(config.seed, index as u64, i as u64);
-                    Self::decide_move(
-                        config,
-                        &ctx,
-                        split_prior,
-                        &arenas[slot],
-                        group_leaf[g] as usize,
-                        &gather[g],
-                        xs,
-                        ys,
-                        dim,
-                        &mut rng,
-                    )
-                })
-                .collect()
-        };
+        // 6. Decide every particle's move on its own
+        //    `(seed, observation, particle)` RNG stream. All decisions read
+        //    the trees as they stand before any move is applied.
+        scratch.decisions.clear();
+        for (i, &slot) in self.particles.iter().enumerate() {
+            let slot = slot as usize;
+            let g = scratch.arena_group[slot] as usize;
+            let mut rng = SmallRng::substream(self.config.seed, index as u64, i as u64);
+            scratch.decisions.push(Self::decide_move(
+                &self.config,
+                &ctx,
+                &self.split_prior,
+                &self.arenas[slot],
+                scratch.group_leaf[g] as usize,
+                &scratch.gather[g],
+                &self.xs,
+                &self.ys,
+                dim,
+                &mut rng,
+            ));
+        }
 
-        // 7. Copy-on-write slot assignment (serial): a mover that still
-        //    shares its arena clones it into a recycled slot; the last owner
-        //    mutates in place. Stayers keep sharing.
-        scratch.movers.clear();
-        for (i, &decision) in decisions.iter().enumerate() {
+        // 7. Apply the divergent moves with copy-on-write: a mover that
+        //    still shares its arena clones it into a recycled slot; the last
+        //    owner mutates in place. Stayers keep sharing. A slot is only
+        //    mutated once its last sharer moves, so every clone copies an
+        //    unmoved tree.
+        for (i, &decision) in scratch.decisions.iter().enumerate() {
             if decision == Decision::Stay {
                 continue;
             }
             let slot = self.particles[i] as usize;
-            let leaf = scratch.group_leaf[scratch.arena_group[slot] as usize];
+            let leaf = scratch.group_leaf[scratch.arena_group[slot] as usize] as usize;
             let dst = if self.arena_refs[slot] > 1 {
                 self.arena_refs[slot] -= 1;
                 let dst = match self.arena_free.pop() {
@@ -785,51 +764,20 @@ impl DynaTree {
             } else {
                 slot
             };
-            scratch.movers.push((i as u32, dst as u32, leaf, decision));
+            let tree = &mut self.arenas[dst];
+            match decision {
+                Decision::Stay => unreachable!("stayers are skipped"),
+                Decision::Grow(split) => {
+                    // The proposal verified both children meet `min_leaf`
+                    // with these exact comparisons.
+                    tree.grow_unchecked(leaf, split, &self.xs, &self.ys, &ctx);
+                }
+                Decision::Prune => {
+                    tree.prune(leaf, &ctx);
+                }
+            }
+            self.depth_bound = self.depth_bound.max(tree.depth_bound());
         }
-
-        // 8. Apply the divergent moves in parallel: every mover owns its
-        //    arena exclusively now, so the trees are moved out, mutated and
-        //    written back by slot.
-        let mut mover_trees: Vec<(u32, ParticleTree, u32, Decision)> = scratch
-            .movers
-            .iter()
-            .map(|&(_, slot, leaf, decision)| {
-                (
-                    slot,
-                    std::mem::replace(&mut self.arenas[slot as usize], ParticleTree::placeholder()),
-                    leaf,
-                    decision,
-                )
-            })
-            .collect();
-        {
-            let xs = &self.xs;
-            let ys = &self.ys;
-            mover_trees = mover_trees
-                .into_par_iter()
-                .map(|(slot, mut tree, leaf, decision)| {
-                    match decision {
-                        Decision::Stay => unreachable!("stayers are filtered out"),
-                        Decision::Grow(split) => {
-                            // The proposal verified both children meet
-                            // `min_leaf` with these exact comparisons.
-                            tree.grow_unchecked(leaf as usize, split, xs, ys, &ctx);
-                        }
-                        Decision::Prune => {
-                            tree.prune(leaf as usize, &ctx);
-                        }
-                    }
-                    (slot, tree, leaf, decision)
-                })
-                .collect();
-        }
-        let mut depth_bound = self.depth_bound;
-        for (slot, tree, _, _) in mover_trees {
-            depth_bound = depth_bound.max(tree.depth_bound());
-            self.arenas[slot as usize] = tree;
-        }
-        self.depth_bound = depth_bound;
 
         self.scratch = scratch;
     }
@@ -964,52 +912,47 @@ impl SurrogateModel for DynaTree {
         }
         // The cached flat traversals and leaf moments make this a pure read:
         // no flattening, no posterior computation, just one traversal per
-        // (unique tree, input) pair. Candidate blocks are chunked directly
-        // by index; block `b` covers `inputs[b*SCORE_BLOCK..]`.
+        // (unique tree, input) pair. Inputs are scored in `SCORE_BLOCK`
+        // chunks that share one set of accumulator and staging buffers.
         let groups = self.arena_groups();
         let n = self.particles.len() as f64;
-        let scored: Vec<Vec<Prediction>> = (0..inputs.len().div_ceil(SCORE_BLOCK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * SCORE_BLOCK;
-                let block = &inputs[lo..(lo + SCORE_BLOCK).min(inputs.len())];
-                // Accumulate over unique trees in first-seen particle order
-                // with multiplicity weights, exactly like `predict`, so
-                // results are bit-identical to the single-point method and
-                // independent of the thread count. Each tree is applied in
-                // two block-wide passes — resolve every candidate's leaf,
-                // then gather that leaf's moments — so the traversal loop
-                // carries no accumulator dependencies and the gather loop
-                // is a tight indexed sweep (same adds in the same order as
-                // a fused loop).
-                let mut mean_acc = vec![0.0f64; block.len()];
-                let mut second_moment = vec![0.0f64; block.len()];
-                let mut staged = QueryBlock::default();
-                staged.fill(block[0].len(), block);
-                let mut stack = Vec::new();
-                for &(slot, mult) in &groups {
-                    let tree = &self.arenas[slot as usize];
-                    let flat = tree.flat_nodes();
-                    let moments = tree.leaf_moments();
-                    let k = mult as f64;
-                    for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
-                        let m = &moments[leaf as usize];
-                        mean_acc[i] += k * m.mean;
-                        second_moment[i] += k * (m.variance + m.mean * m.mean);
-                    });
-                }
-                mean_acc
-                    .iter()
-                    .zip(&second_moment)
-                    .map(|(&acc, &sm)| {
-                        let mean = acc / n;
-                        let variance = (sm / n - mean * mean).max(0.0);
-                        Prediction::new(mean, variance)
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(scored.into_iter().flatten().collect())
+        let mut out = Vec::with_capacity(inputs.len());
+        let mut mean_acc = Vec::with_capacity(SCORE_BLOCK);
+        let mut second_moment = Vec::with_capacity(SCORE_BLOCK);
+        let mut staged = QueryBlock::default();
+        let mut stack = Vec::new();
+        for block in inputs.chunks(SCORE_BLOCK) {
+            // Accumulate over unique trees in first-seen particle order with
+            // multiplicity weights, exactly like `predict`, so results are
+            // bit-identical to the single-point method. Each tree is applied
+            // in two block-wide passes — resolve every candidate's leaf,
+            // then gather that leaf's moments — so the traversal loop
+            // carries no accumulator dependencies and the gather loop is a
+            // tight indexed sweep (same adds in the same order as a fused
+            // loop).
+            mean_acc.clear();
+            mean_acc.resize(block.len(), 0.0f64);
+            second_moment.clear();
+            second_moment.resize(block.len(), 0.0f64);
+            staged.fill(block[0].len(), block);
+            for &(slot, mult) in &groups {
+                let tree = &self.arenas[slot as usize];
+                let flat = tree.flat_nodes();
+                let moments = tree.leaf_moments();
+                let k = mult as f64;
+                for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
+                    let m = &moments[leaf as usize];
+                    mean_acc[i] += k * m.mean;
+                    second_moment[i] += k * (m.variance + m.mean * m.mean);
+                });
+            }
+            out.extend(mean_acc.iter().zip(&second_moment).map(|(&acc, &sm)| {
+                let mean = acc / n;
+                let variance = (sm / n - mean * mean).max(0.0);
+                Prediction::new(mean, variance)
+            }));
+        }
+        Ok(out)
     }
 
     fn observation_count(&self) -> usize {
@@ -1135,15 +1078,15 @@ impl ActiveSurrogate for DynaTree {
         // work is one cached flat traversal and one table add per unique
         // tree.
         let groups = self.arena_groups();
+        let mut staged = QueryBlock::default();
+        let mut stack = Vec::new();
         let tables: Vec<(u32, f64, Vec<f64>)> = groups
-            .par_iter()
+            .iter()
             .map(|&(slot, mult)| {
                 let tree = &self.arenas[slot as usize];
                 let flat = tree.flat_nodes();
                 let moments = tree.leaf_moments();
                 let mut add = vec![0.0f64; flat.len()];
-                let mut staged = QueryBlock::default();
-                let mut stack = Vec::new();
                 for chunk in reference.chunks(SCORE_BLOCK) {
                     staged.fill(chunk[0].len(), chunk);
                     for_each_block_leaf(flat, &staged, &mut stack, |_, leaf| {
@@ -1159,27 +1102,23 @@ impl ActiveSurrogate for DynaTree {
             })
             .collect();
         let denominator = reference.len() as f64 * self.particles.len() as f64;
-        let scored: Vec<Vec<f64>> = (0..candidates.len().div_ceil(SCORE_BLOCK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * SCORE_BLOCK;
-                let block = &candidates[lo..(lo + SCORE_BLOCK).min(candidates.len())];
-                // Two block-wide passes per tree, like `predict_batch`:
-                // traverse, then gather from the contribution table.
-                let mut totals = vec![0.0f64; block.len()];
-                let mut staged = QueryBlock::default();
-                staged.fill(block[0].len(), block);
-                let mut stack = Vec::new();
-                for (slot, k, add) in &tables {
-                    let flat = self.arenas[*slot as usize].flat_nodes();
-                    for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
-                        totals[i] += k * add[leaf as usize];
-                    });
-                }
-                totals.iter().map(|t| t / denominator).collect()
-            })
-            .collect();
-        Ok(scored.into_iter().flatten().collect())
+        let mut out = Vec::with_capacity(candidates.len());
+        let mut totals = Vec::with_capacity(SCORE_BLOCK);
+        for block in candidates.chunks(SCORE_BLOCK) {
+            // Two block-wide passes per tree, like `predict_batch`:
+            // traverse, then gather from the contribution table.
+            totals.clear();
+            totals.resize(block.len(), 0.0f64);
+            staged.fill(block[0].len(), block);
+            for (slot, k, add) in &tables {
+                let flat = self.arenas[*slot as usize].flat_nodes();
+                for_each_block_leaf(flat, &staged, &mut stack, |i, leaf| {
+                    totals[i] += k * add[leaf as usize];
+                });
+            }
+            out.extend(totals.iter().map(|t| t / denominator));
+        }
+        Ok(out)
     }
 }
 
@@ -1351,25 +1290,6 @@ mod tests {
         for (x, p) in points.iter().zip(&batch) {
             assert_eq!(*p, model.predict(x).unwrap());
         }
-    }
-
-    #[test]
-    fn batch_scores_are_independent_of_the_thread_count() {
-        let model = fit_on(|x| (5.0 * x).sin(), 60, 31);
-        let candidates: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 199.0]).collect();
-        let reference: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
-        let parallel_alc = model
-            .alc_scores(&views(&candidates), &views(&reference))
-            .unwrap();
-        let parallel_alm = model.alm_scores(&views(&candidates)).unwrap();
-        rayon::set_num_threads(1);
-        let serial_alc = model
-            .alc_scores(&views(&candidates), &views(&reference))
-            .unwrap();
-        let serial_alm = model.alm_scores(&views(&candidates)).unwrap();
-        rayon::set_num_threads(0);
-        assert_eq!(parallel_alc, serial_alc);
-        assert_eq!(parallel_alm, serial_alm);
     }
 
     #[test]

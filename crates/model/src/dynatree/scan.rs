@@ -122,8 +122,8 @@ impl LeafColumns {
 
 thread_local! {
     /// Per-thread mask-word scratch for the bitset kernel; proposal scans
-    /// run inside the parallel move-decision pass, so the scratch cannot
-    /// live in the (shared) gathered columns.
+    /// read the gathered columns through a shared reference, so the scratch
+    /// cannot live in them.
     static MASK_WORDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 

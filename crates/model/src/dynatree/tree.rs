@@ -468,8 +468,8 @@ impl ParticleTree {
         tree
     }
 
-    /// A node-less placeholder used to move a tree out of its slot without
-    /// allocating. Never traversed.
+    /// A node-less placeholder for an unused arena slot, allocated only
+    /// when a tree is cloned into it. Never traversed.
     pub(crate) fn placeholder() -> Self {
         ParticleTree {
             dim: Vec::new(),

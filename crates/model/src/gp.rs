@@ -43,10 +43,9 @@
 //! evaluates kernel vectors for blocks of query rows and pushes the whole
 //! block through one blocked triangular solve
 //! ([`Cholesky::forward_substitute_batch`]), instead of re-walking the
-//! factor per query point. Blocks are scored in parallel with by-index
-//! write-back, so results are bit-identical regardless of thread count.
+//! factor per query point. Each row's arithmetic is independent of its
+//! block, so results are bit-identical to the single-point path.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use alic_stats::cholesky::Cholesky;
@@ -59,9 +58,8 @@ use crate::snapshot::{self, Snapshot};
 use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
-/// Query rows per parallel prediction block. Each row's arithmetic is
-/// independent, so the block size affects scheduling granularity only,
-/// never results.
+/// Query rows per prediction block. Each row's arithmetic is independent,
+/// so the block size affects memory locality only, never results.
 const PREDICT_BLOCK: usize = 64;
 
 /// Factor-ladder escalation: jitter grows by 10× per attempt, at most this
@@ -446,14 +444,10 @@ impl SurrogateModel for GaussianProcess {
             self.check_dimension(x)?;
         }
         let chol = self.chol.as_ref().ok_or(ModelError::NotFitted)?;
-        // Blocks are independent and internally ordered, so parallel
-        // evaluation with in-order collection is bit-deterministic.
-        let blocks: Vec<&[&[f64]]> = inputs.chunks(PREDICT_BLOCK).collect();
-        let scored: Vec<Vec<Prediction>> = blocks
-            .into_par_iter()
-            .map(|block| self.predict_block(block, chol))
-            .collect();
-        Ok(scored.into_iter().flatten().collect())
+        Ok(inputs
+            .chunks(PREDICT_BLOCK)
+            .flat_map(|block| self.predict_block(block, chol))
+            .collect())
     }
 
     fn observation_count(&self) -> usize {

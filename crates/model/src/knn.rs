@@ -11,7 +11,6 @@
 //! `O(n log n)` full sort — with a `(distance, index)` total order that
 //! reproduces the stable-sort tie-break (lower index wins) exactly.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use alic_stats::matrix::squared_distance;
@@ -162,12 +161,6 @@ impl SurrogateModel for KnnRegressor {
         let neighbours: Vec<f64> = neighbours.iter().map(|&(_, i)| self.ys[i]).collect();
         let summary = Summary::from_slice(&neighbours);
         Ok(Prediction::new(summary.mean, summary.variance))
-    }
-
-    fn predict_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Prediction>> {
-        // Each neighbour search scans the full training set; batches are
-        // evaluated in parallel with order-preserving write-back.
-        inputs.par_iter().map(|x| self.predict(x)).collect()
     }
 
     fn observation_count(&self) -> usize {

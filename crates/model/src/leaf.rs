@@ -317,7 +317,7 @@ impl LeafMoments {
 /// `a₀ + n/2 + ½` where `a₀` is the (fit-time frozen) prior shape and `n`
 /// is a leaf count — an integer bounded by the total number of
 /// observations. The dynamic tree keeps one table per model, extends it
-/// once per update (serially, before the parallel phases read it), and
+/// once per update (before the per-tree phases read it), and
 /// thereby removes every `ln Γ` evaluation from the per-particle hot path.
 #[derive(Debug, Clone, Default)]
 pub struct LnGammaTable {

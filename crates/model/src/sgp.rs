@@ -25,10 +25,9 @@
 //! is the identity), the DTC posterior over feature weights has precision
 //! `P = I + σ⁻² Σᵢ ψ(xᵢ) ψ(xᵢ)ᵀ` and mean `ŵ = P⁻¹ σ⁻² Σᵢ ψ(xᵢ)(yᵢ − μ)`:
 //!
-//! * **fit** accumulates `ΨᵀΨ`, `u = Σ ψᵢ yᵢ` and `s = Σ ψᵢ` in one parallel
-//!   pass over the training rows (blocks reduced in fixed order, so results
-//!   are bit-identical for any thread count) and factorizes `P` once —
-//!   `O(n·m²)` total;
+//! * **fit** accumulates `ΨᵀΨ`, `u = Σ ψᵢ yᵢ` and `s = Σ ψᵢ` in one pass
+//!   over the training rows (per-block sums reduced in block order) and
+//!   factorizes `P` once — `O(n·m²)` total;
 //! * **update** is a rank-1 Cholesky update of `P`'s factor
 //!   ([`Cholesky::rank_one_update`] with `σ⁻¹ψ`; a rank-1 *addition*, so the
 //!   factor stays positive definite by construction — no jitter ladder on
@@ -42,12 +41,9 @@
 //!
 //! Batched prediction pushes whole query blocks through
 //! [`Cholesky::forward_substitute_batch`] twice (once against `Lm` for the
-//! features, once against `Lp` for the variance correction) and scores
-//! blocks in parallel with by-index write-back — bit-identical to the
-//! single-point path regardless of thread count, like every other model in
-//! this crate.
+//! features, once against `Lp` for the variance correction) — bit-identical
+//! to the single-point path, like every other model in this crate.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use alic_stats::cholesky::Cholesky;
@@ -61,13 +57,13 @@ use crate::snapshot::{self, Snapshot};
 use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
-/// Query rows per parallel prediction block (scheduling granularity only;
-/// results are block-size-independent).
+/// Query rows per prediction block (memory locality only; results are
+/// block-size-independent).
 const PREDICT_BLOCK: usize = 64;
 
-/// Training rows per parallel fit block. Blocks are reduced serially in
-/// block order, so the accumulated sums are bit-identical for any thread
-/// count and any block count.
+/// Training rows per fit block. Each block's sums are accumulated on their
+/// own and then added into the totals in block order, so this constant
+/// fixes the rounding of the fitted sums.
 const FIT_BLOCK: usize = 256;
 
 /// Inducing-kernel jitter ladder: 10× escalation, at most this many
@@ -406,51 +402,46 @@ impl SurrogateModel for SparseGaussianProcess {
         })?;
         self.kmm_jitter = jitter;
 
-        // One parallel O(n·m²) sweep: per block, whiten the kernel rows with
-        // a batched solve, then accumulate the packed Gram ΨᵀΨ, u = Σψy and
-        // s = Σψ. Blocks are combined serially in block order, so the sums
-        // are bit-identical however rayon schedules the map.
+        // One O(n·m²) sweep: per block, whiten the kernel rows with a
+        // batched solve, accumulate the block's packed Gram ΨᵀΨ, u = Σψy and
+        // s = Σψ, then add the block sums into the totals in block order.
         let packed_len = m * (m + 1) / 2;
-        let partials: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..n.div_ceil(FIT_BLOCK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * FIT_BLOCK;
-                let hi = (lo + FIT_BLOCK).min(n);
-                let (x_block, y_block) = (&xs[lo..hi], &ys[lo..hi]);
-                let mut psi = vec![0.0; x_block.len() * m];
-                for (row, x) in psi.chunks_exact_mut(m).zip(x_block) {
-                    self.inducing_kernel_row(x, row);
-                }
-                lm.forward_substitute_batch(&mut psi, x_block.len())
-                    .expect("block shape matches the whitener by construction");
-                let mut gram = vec![0.0; packed_len];
-                let mut u = vec![0.0; m];
-                let mut s = vec![0.0; m];
-                for (row, &y) in psi.chunks_exact(m).zip(y_block) {
-                    for i in 0..m {
-                        let pi = row[i];
-                        let dst = &mut gram[i * (i + 1) / 2..i * (i + 1) / 2 + i + 1];
-                        for (g, &pj) in dst.iter_mut().zip(&row[..=i]) {
-                            *g += pi * pj;
-                        }
-                        u[i] += pi * y;
-                        s[i] += pi;
-                    }
-                }
-                (gram, u, s)
-            })
-            .collect();
         let mut gram = vec![0.0; packed_len];
         self.u = vec![0.0; m];
         self.s = vec![0.0; m];
-        for (g, u, s) in &partials {
-            for (acc, v) in gram.iter_mut().zip(g) {
+        let mut block_gram = vec![0.0; packed_len];
+        let mut block_u = vec![0.0; m];
+        let mut block_s = vec![0.0; m];
+        let mut psi = Vec::new();
+        for (x_block, y_block) in xs.chunks(FIT_BLOCK).zip(ys.chunks(FIT_BLOCK)) {
+            psi.clear();
+            psi.resize(x_block.len() * m, 0.0);
+            for (row, x) in psi.chunks_exact_mut(m).zip(x_block) {
+                self.inducing_kernel_row(x, row);
+            }
+            lm.forward_substitute_batch(&mut psi, x_block.len())
+                .expect("block shape matches the whitener by construction");
+            block_gram.fill(0.0);
+            block_u.fill(0.0);
+            block_s.fill(0.0);
+            for (row, &y) in psi.chunks_exact(m).zip(y_block) {
+                for i in 0..m {
+                    let pi = row[i];
+                    let dst = &mut block_gram[i * (i + 1) / 2..i * (i + 1) / 2 + i + 1];
+                    for (g, &pj) in dst.iter_mut().zip(&row[..=i]) {
+                        *g += pi * pj;
+                    }
+                    block_u[i] += pi * y;
+                    block_s[i] += pi;
+                }
+            }
+            for (acc, v) in gram.iter_mut().zip(&block_gram) {
                 *acc += v;
             }
-            for (acc, v) in self.u.iter_mut().zip(u) {
+            for (acc, v) in self.u.iter_mut().zip(&block_u) {
                 *acc += v;
             }
-            for (acc, v) in self.s.iter_mut().zip(s) {
+            for (acc, v) in self.s.iter_mut().zip(&block_s) {
                 *acc += v;
             }
         }
@@ -513,14 +504,10 @@ impl SurrogateModel for SparseGaussianProcess {
         }
         let lm = self.lm.as_ref().ok_or(ModelError::NotFitted)?;
         let lp = self.lp.as_ref().ok_or(ModelError::NotFitted)?;
-        // Blocks are independent and internally ordered, so parallel
-        // evaluation with in-order collection is bit-deterministic.
-        let blocks: Vec<&[&[f64]]> = inputs.chunks(PREDICT_BLOCK).collect();
-        let scored: Vec<Vec<Prediction>> = blocks
-            .into_par_iter()
-            .map(|block| self.predict_block(block, lm, lp))
-            .collect();
-        Ok(scored.into_iter().flatten().collect())
+        Ok(inputs
+            .chunks(PREDICT_BLOCK)
+            .flat_map(|block| self.predict_block(block, lm, lp))
+            .collect())
     }
 
     fn observation_count(&self) -> usize {
@@ -725,9 +712,8 @@ mod tests {
     #[test]
     fn refitting_multi_block_data_is_bit_deterministic() {
         // A training set spanning several FIT_BLOCK chunks exercises the
-        // parallel sweep plus the serial in-order reduce; two fits of the
-        // same data must agree to the bit (the thread-count half of the
-        // contract lives in `tests/batch_consistency.rs`).
+        // per-block sums plus the in-order reduce; two fits of the same
+        // data must agree to the bit.
         let (xs, ys) = sine_data(3 * FIT_BLOCK + 17);
         let views = row_views(&xs);
         let mut a = SparseGaussianProcess::new(SparseGpConfig {

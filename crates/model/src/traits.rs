@@ -68,20 +68,16 @@ pub trait SurrogateModel: std::fmt::Debug {
     /// Must agree with [`predict`](SurrogateModel::predict) applied
     /// point-by-point; the default implementation does exactly that. Models
     /// with exploitable structure (such as the dynamic tree) override it to
-    /// share per-model work across the batch and evaluate rows in parallel.
+    /// share per-model work across the batch.
     ///
     /// # Determinism contract
     ///
-    /// Overrides that parallelize **must** produce bit-identical results
-    /// regardless of the worker-thread count: write results back by index
-    /// and keep every floating-point accumulation in a fixed,
-    /// thread-independent order. The experiment stack's reproducibility
+    /// Overrides **must** return results bit-identical to
+    /// [`predict`](SurrogateModel::predict) applied point-by-point: keep
+    /// every floating-point accumulation for a row in the order the
+    /// single-point path uses. The experiment stack's reproducibility
     /// guarantees (golden reports, sharded-campaign merge equality, the
-    /// `batch_consistency` suite) all lean on this; the same rule applies
-    /// to parallel [`fit`](SurrogateModel::fit) /
-    /// [`update`](SurrogateModel::update) implementations, which the
-    /// dynamic tree realizes with per-`(seed, observation, particle)`
-    /// derived RNG streams.
+    /// `batch_consistency` suite) all lean on this.
     ///
     /// # Errors
     ///

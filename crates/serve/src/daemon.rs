@@ -3,10 +3,9 @@
 //! Both loops are thin shells over [`Engine::handle_line`]. The TCP mode
 //! accepts concurrent connections but serializes engine access through a
 //! single owner thread (requests queue on a channel in arrival order), so
-//! session state needs no locking and surrogate internals — which already
-//! multiplex their fit/update work onto the rayon pool — stay
-//! single-owner. Connection I/O goes through the [`crate::chaos`] wrappers
-//! so the fault plane reaches the wire.
+//! session state needs no locking and every surrogate's fit/update runs
+//! serially on that thread. Connection I/O goes through the
+//! [`crate::chaos`] wrappers so the fault plane reaches the wire.
 //!
 //! Both transports treat SIGTERM as a drain request (see [`crate::term`]):
 //! the loop stops admitting input, every session flushes to checkpoint, and

@@ -3,8 +3,8 @@
 //! A cold session never serializes model internals. Its checkpoint is an
 //! *event log* — (space, model family, seed, observations in arrival order)
 //! — and restoring replays that log through the same deterministic
-//! fit/update path the live session used. The PR 3/5 determinism contracts
-//! (incremental update ≡ cold refit, thread-count-independent fits) are
+//! fit/update path the live session used. The models' determinism contracts
+//! (incremental update ≡ cold refit, seeded per-particle RNG streams) are
 //! what make the replayed surrogate **bit-identical** to the one that was
 //! killed, which in turn makes the read-only requests (`suggest`, `best`)
 //! — pure functions of the log — byte-identical across a restart.
@@ -23,7 +23,7 @@ use alic_model::snapshot::{restore_snapshot, Snapshot};
 use alic_model::spec::SurrogateSpec;
 use alic_model::traits::ActiveSurrogate;
 use alic_model::ModelError;
-use alic_sim::space::{Configuration, ParamKind, ParamSpec, ParameterSpace};
+use alic_sim::space::{unit_position, Configuration, ParamKind, ParamSpec, ParameterSpace};
 use alic_stats::rng::seeded_substream;
 
 use crate::protocol::{code, sanitize, ErrReply};
@@ -162,13 +162,7 @@ impl TuningSession {
             .values()
             .iter()
             .zip(self.space.params())
-            .map(|(&v, p)| {
-                if p.max == p.min {
-                    0.0
-                } else {
-                    (v as f64 - p.min as f64) / (p.max as f64 - p.min as f64)
-                }
-            })
+            .map(|(&v, p)| unit_position(v, p.min, p.max))
             .collect()
     }
 

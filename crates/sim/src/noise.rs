@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use alic_stats::rng::seeded_stream;
 
-use crate::space::{Configuration, ParameterSpace};
+use crate::space::{unit_position, Configuration, ParameterSpace};
 
 /// Per-kernel calibration of the noise model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -156,15 +156,7 @@ impl NoiseModel {
             .values()
             .iter()
             .enumerate()
-            .map(|(i, &v)| {
-                let min = self.mins[i];
-                let max = self.maxs[i];
-                if max == min {
-                    0.0
-                } else {
-                    (v.saturating_sub(min)) as f64 / (max - min) as f64
-                }
-            })
+            .map(|(i, &v)| unit_position(v, self.mins[i], self.maxs[i]))
             .collect()
     }
 

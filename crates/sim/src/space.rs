@@ -298,6 +298,19 @@ impl ParameterSpace {
     }
 }
 
+/// Position of `value` within `[min, max]`: `0.0` at `min`, `1.0` at `max`
+/// and `0.0` for a degenerate range (`min == max`). Values below `min`
+/// clamp to `0.0`. For in-range values the integer differences convert to
+/// `f64` exactly, so this equals the float form `(v − min) / (max − min)`
+/// bit for bit.
+pub fn unit_position(value: u32, min: u32, max: u32) -> f64 {
+    if max == min {
+        0.0
+    } else {
+        value.saturating_sub(min) as f64 / (max - min) as f64
+    }
+}
+
 /// Iterator over every configuration of a [`ParameterSpace`], in
 /// lexicographic order. Produced by [`ParameterSpace::enumerate`].
 #[derive(Debug)]
@@ -454,6 +467,16 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
         assert_eq!(format!("{c}"), "[3, 7, 11]");
+    }
+
+    #[test]
+    fn unit_position_maps_the_range_onto_zero_one() {
+        assert_eq!(unit_position(4, 4, 4), 0.0);
+        assert_eq!(unit_position(2, 2, 10), 0.0);
+        assert_eq!(unit_position(10, 2, 10), 1.0);
+        assert_eq!(unit_position(4, 2, 10), 0.25);
+        let float_form = (7.0 - 2.0) / (13.0 - 2.0);
+        assert_eq!(unit_position(7, 2, 13).to_bits(), f64::to_bits(float_form));
     }
 
     #[test]

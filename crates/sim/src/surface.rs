@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use alic_stats::rng::{seeded_stream, Rng as StatsRng};
 
-use crate::space::{Configuration, ParamKind, ParameterSpace};
+use crate::space::{unit_position, Configuration, ParamKind, ParameterSpace};
 
 /// Parametric shape of a single parameter's effect on runtime.
 ///
@@ -211,13 +211,7 @@ impl ResponseSurface {
 
     /// Normalized position of `value` within parameter `index`'s range.
     fn normalized(&self, index: usize, value: u32) -> f64 {
-        let min = self.mins[index];
-        let max = self.maxs[index];
-        if max == min {
-            0.0
-        } else {
-            (value.saturating_sub(min)) as f64 / (max - min) as f64
-        }
+        unit_position(value, self.mins[index], self.maxs[index])
     }
 
     /// True mean runtime (seconds) of the binary produced by `config`.

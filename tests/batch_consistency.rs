@@ -1,22 +1,9 @@
-//! Consistency guarantees of the batched scoring pipeline.
-//!
-//! Two properties guard the zero-copy batch APIs introduced with the
-//! flat-feature pipeline:
-//!
-//! 1. For **every** surrogate family, `predict_batch` / `alm_scores` /
-//!    `alc_scores` must agree with their single-point counterparts to
-//!    1e-12 — batching is an implementation detail, never a semantic change.
-//! 2. Learner runs must be bit-identical across worker-thread counts: the
-//!    parallel scoring paths write back by index and accumulate in a fixed
-//!    order, so 1 thread and 4 threads must produce the same run.
+//! Consistency guarantee of the batched scoring pipeline: for **every**
+//! surrogate family, `predict_batch` / `alm_scores` / `alc_scores` must
+//! agree with their single-point counterparts to 1e-12 — batching is an
+//! implementation detail, never a semantic change.
 
-use alic::core::prelude::*;
-use alic::data::dataset::{Dataset, DatasetConfig};
 use alic::model::SurrogateSpec;
-use alic::sim::noise::NoiseProfile;
-use alic::sim::profiler::SimulatedProfiler;
-use alic::sim::space::ParamSpec;
-use alic::sim::KernelSpec;
 use proptest::prelude::*;
 
 /// Deterministic, well-spread 2-D training data (no degenerate kernel
@@ -85,75 +72,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-fn toy_profiler(seed: u64) -> SimulatedProfiler {
-    let spec = KernelSpec::new(
-        "toy",
-        vec![ParamSpec::unroll("u1"), ParamSpec::unroll("u2")],
-        1.0,
-        0.5,
-        NoiseProfile::moderate(),
-    )
-    .unwrap()
-    .with_surface_seed(7);
-    SimulatedProfiler::new(spec, seed)
-}
-
-fn run_learner(spec: SurrogateSpec) -> LearnerRun {
-    let dataset = {
-        let mut gen_profiler = toy_profiler(1);
-        Dataset::generate(
-            &mut gen_profiler,
-            &DatasetConfig {
-                configurations: 180,
-                observations: 4,
-                seed: 2,
-            },
-        )
-    };
-    let split = dataset.split(130, 3);
-    let config = LearnerConfig {
-        initial_examples: 5,
-        initial_observations: 4,
-        candidates_per_iteration: 40,
-        max_iterations: 50,
-        evaluate_every: 10,
-        acquisition: Acquisition::Alc { reference_size: 25 },
-        plan: SamplingPlan::sequential(4),
-        criteria: CompletionCriteria::none(),
-        seed: 9,
-    };
-    let mut profiler = toy_profiler(21);
-    let mut learner = ActiveLearner::new(config, &mut profiler);
-    let mut model = spec.build(13);
-    learner.run(model.as_mut(), &dataset, &split).unwrap()
-}
-
-/// The `RAYON_NUM_THREADS=1` vs `4` determinism guarantee, for the dynamic
-/// tree (parallel tree traversals), the Gaussian process (parallel blocked
-/// triangular solves), and the sparse GP (parallel fit-block sweep with the
-/// serial in-order reduce). The shim's programmatic override stands in
-/// for the environment variable because `setenv` concurrent with
-/// worker-thread `getenv` is undefined behavior on glibc;
-/// `current_num_threads` reads the override exactly where it would read
-/// `RAYON_NUM_THREADS`.
-#[test]
-fn learner_runs_are_identical_across_thread_counts() {
-    for spec in [
-        SurrogateSpec::dynatree(50),
-        SurrogateSpec::from_name("gp").unwrap(),
-        SurrogateSpec::from_name("sgp").unwrap(),
-    ] {
-        rayon::set_num_threads(1);
-        let serial = run_learner(spec);
-        rayon::set_num_threads(4);
-        let parallel = run_learner(spec);
-        rayon::set_num_threads(0);
-        assert_eq!(serial.curve, parallel.curve, "{spec}: curve diverged");
-        assert_eq!(serial.ledger, parallel.ledger, "{spec}: ledger diverged");
-        assert_eq!(serial.visited, parallel.visited, "{spec}: visits diverged");
-        assert_eq!(serial.iterations, parallel.iterations);
     }
 }

@@ -120,7 +120,7 @@ proptest! {
         let kill = (shards[0].len() as f64 * kill_fraction) as usize;
         shards[0].truncate(kill);
         for shard in &shards {
-            runner::execute_units(&spec, shard, &sink).unwrap();
+            runner::execute_units_resilient(&spec, shard, &sink).unwrap();
         }
         // A kill can also leave a torn temp file behind; it must be ignored
         // by resume and merge alike.
@@ -131,7 +131,7 @@ proptest! {
         let remaining: Vec<usize> = (0..spec.unit_count())
             .filter(|i| !completed.contains(i))
             .collect();
-        runner::execute_units(&spec, &remaining, &sink).unwrap();
+        runner::execute_units_resilient(&spec, &remaining, &sink).unwrap();
 
         // Merge from the on-disk records; byte-compare against the
         // unsharded in-memory baseline.

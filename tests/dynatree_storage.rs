@@ -1,6 +1,6 @@
 //! Invariants of the arena-backed dynamic-tree storage.
 //!
-//! Three properties guard the PR 5 storage rewrite:
+//! Two properties guard the arena storage:
 //!
 //! 1. **Cache freshness.** Every tree keeps its dense flat-node traversal
 //!    array, its per-leaf moments (predictive moments, marginal likelihood,
@@ -9,11 +9,7 @@
 //!    copy-on-write cloning, structural sharing, grow and prune — every
 //!    cached view must equal a bitwise-fresh recomputation
 //!    (`DynaTree::validate_caches`).
-//! 2. **Thread-count bit-identity of training.** `fit` and `update` run
-//!    their weighting and move phases on the thread pool with
-//!    per-`(seed, observation, particle)` RNG streams; a model trained on
-//!    1 worker thread must be bit-identical to one trained on 4.
-//! 3. **Sharing accounting.** Structural sharing never loses or invents
+//! 2. **Sharing accounting.** Structural sharing never loses or invents
 //!    particles: multiplicities over unique trees always sum to the
 //!    particle count, and the unique-tree count never exceeds it.
 
@@ -45,7 +41,7 @@ fn training_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 proptest! {
-    /// Property 1 + 3: after an arbitrary fit/update sequence, the cached
+    /// Properties 1 and 2: after an arbitrary fit/update sequence, the cached
     /// flat nodes, leaf moments and leaf bounds of every live tree equal a
     /// fresh recomputation, and the sharing bookkeeping stays consistent.
     #[test]
@@ -74,49 +70,6 @@ proptest! {
         prop_assert!(model.unique_tree_count() <= particles);
         prop_assert!(model.unique_tree_count() >= 1);
     }
-}
-
-/// Property 2: `fit` and `update` are bit-identical across worker-thread
-/// counts. Compares the full predictive surface (means and variances) and
-/// the ensemble shape, which pin every per-particle state that scoring can
-/// observe.
-#[test]
-fn fit_and_update_are_bit_identical_across_thread_counts() {
-    let train = |threads: usize| {
-        rayon::set_num_threads(threads);
-        let (xs, ys) = training_data(60, 3);
-        let mut model = DynaTree::new(config(50, 21, 2, 4));
-        model.fit(&row_views(&xs), &ys).unwrap();
-        let (ux, uy) = training_data(25, 9);
-        for (x, &y) in ux.iter().zip(&uy) {
-            model.update(x, y).unwrap();
-        }
-        rayon::set_num_threads(0);
-        let grid: Vec<Vec<f64>> = (0..200)
-            .map(|i| vec![(i % 20) as f64 / 19.0, (i / 20) as f64 / 9.0])
-            .collect();
-        let predictions = model.predict_batch(&row_views(&grid)).unwrap();
-        (
-            predictions,
-            model.mean_leaf_count(),
-            model.unique_tree_count(),
-            model.observation_count(),
-        )
-    };
-    let serial = train(1);
-    let parallel = train(4);
-    assert_eq!(serial.0.len(), parallel.0.len());
-    for (i, (a, b)) in serial.0.iter().zip(&parallel.0).enumerate() {
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "mean diverged at {i}");
-        assert_eq!(
-            a.variance.to_bits(),
-            b.variance.to_bits(),
-            "variance diverged at {i}"
-        );
-    }
-    assert_eq!(serial.1, parallel.1, "leaf counts diverged");
-    assert_eq!(serial.2, parallel.2, "sharing diverged");
-    assert_eq!(serial.3, parallel.3);
 }
 
 /// Structural sharing actually engages: a freshly fitted ensemble whose
