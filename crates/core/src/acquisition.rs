@@ -16,7 +16,6 @@
 use std::cmp::Ordering;
 
 use rand::Rng as _;
-use serde::{Deserialize, Serialize};
 
 use alic_model::ActiveSurrogate;
 use alic_stats::rng::Rng as StatsRng;
@@ -26,7 +25,7 @@ use alic_stats::FeatureMatrix;
 use crate::Result;
 
 /// Strategy for scoring candidate configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Acquisition {
     /// Cohn's expected average-variance reduction over a random reference
     /// set of the given size (the paper's choice).

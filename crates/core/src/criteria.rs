@@ -6,10 +6,8 @@
 //! are supported and can be combined; the learner stops as soon as any one of
 //! them is met.
 
-use serde::{Deserialize, Serialize};
-
 /// Stopping conditions for a learning run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CompletionCriteria {
     /// Stop after this many profiling-cost seconds have been spent.
     pub max_cost_seconds: Option<f64>,

@@ -6,10 +6,8 @@
 //! resamples them onto a common cost grid and derives the Table 1 statistics
 //! (lowest common error, cost to reach it, speed-up).
 
-use serde::{Deserialize, Serialize};
-
 /// One evaluation point of a learning run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Number of learning-loop iterations completed.
     pub iterations: usize,
@@ -24,7 +22,7 @@ pub struct CurvePoint {
 }
 
 /// A sequence of evaluation points from one learning run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LearningCurve {
     points: Vec<CurvePoint>,
 }
@@ -114,7 +112,7 @@ impl FromIterator<CurvePoint> for LearningCurve {
 }
 
 /// An averaged curve over repeated runs, resampled on a common cost grid.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AveragedCurve {
     /// Cost grid, in seconds.
     pub costs: Vec<f64>,

@@ -8,8 +8,6 @@
 //! ratio of the baseline's cost to the variable plan's cost is the paper's
 //! "reduction of profiling cost" (speed-up).
 
-use serde::{Deserialize, Serialize};
-
 use alic_data::dataset::DatasetConfig;
 use alic_model::SurrogateSpec;
 use alic_sim::kernel::KernelSpec;
@@ -20,7 +18,7 @@ use crate::plan::SamplingPlan;
 use crate::Result;
 
 /// Configuration of a plan-comparison experiment on one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonConfig {
     /// Base learner configuration; the `plan` field is overridden per
     /// compared plan and the seeds are re-derived per repetition.
@@ -100,7 +98,7 @@ impl ComparisonConfig {
 }
 
 /// Aggregated result for one sampling plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanResult {
     /// The sampling plan.
     pub plan: SamplingPlan,
@@ -125,7 +123,7 @@ impl PlanResult {
 }
 
 /// Outcome of comparing all plans on one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonOutcome {
     /// Kernel name.
     pub kernel: String,
@@ -140,7 +138,7 @@ pub struct ComparisonOutcome {
 
 /// Head-to-head comparison of two sampling plans on their common error level
 /// (the statistic behind each row of the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairwiseComparison {
     /// The lowest averaged RMSE that *both* plans reach.
     pub lowest_common_rmse: f64,
@@ -206,7 +204,7 @@ impl ComparisonOutcome {
 /// one work unit per `(plan, repetition)` pair, executed in parallel with
 /// deterministic per-unit derived seeds
 /// ([`runner::execute_unit`](crate::runner::execute_unit)), then folded by
-/// the pure merge step [`assemble_outcome`]. Larger matrices — many kernels,
+/// the pure merge step [`assemble_outcome_grouped`]. Larger matrices — many kernels,
 /// many model families, sharded across processes with on-disk checkpoints —
 /// use the [`runner`](crate::runner) API directly.
 ///
@@ -225,10 +223,9 @@ pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<Com
     Ok(entry.outcome)
 }
 
-/// The pure merge step of a plan comparison: folds the flat run list of one
-/// `(kernel, model)` cell — plan-major, repetitions in ascending order, as
-/// produced by the campaign unit layout — into averaged curves and the
-/// Table 1 statistics.
+/// The pure merge step of a plan comparison: folds the runs of one
+/// `(kernel, model)` cell, grouped per plan with repetitions in ascending
+/// order, into averaged curves and the Table 1 statistics.
 ///
 /// Being a pure function of the unit results, it can run long after (and on
 /// a different machine than) the units themselves; the campaign runner's
@@ -236,29 +233,11 @@ pub fn compare_plans(spec: &KernelSpec, config: &ComparisonConfig) -> Result<Com
 /// which is what makes sharded-and-merged campaigns byte-identical to
 /// single-process runs.
 ///
-/// Runs beyond `plans × repetitions` are ignored; missing runs yield empty
-/// plan results (campaign merges validate completeness before calling this).
-pub fn assemble_outcome(
-    kernel: &str,
-    config: &ComparisonConfig,
-    all_runs: Vec<LearnerRun>,
-) -> ComparisonOutcome {
-    let mut runs_iter = all_runs.into_iter();
-    let plan_runs: Vec<(SamplingPlan, Vec<LearnerRun>)> = config
-        .plans
-        .iter()
-        .map(|&plan| (plan, runs_iter.by_ref().take(config.repetitions).collect()))
-        .collect();
-    assemble_outcome_grouped(kernel, config, plan_runs)
-}
-
-/// [`assemble_outcome`] for runs already grouped per plan, possibly with
-/// *fewer* than `config.repetitions` runs in a group. This is the partial-cell
-/// path of the resilient campaign merge
+/// A group may hold *fewer* than `config.repetitions` runs. This is the
+/// partial-cell path of the resilient campaign merge
 /// ([`assemble_report_with_failures`](crate::runner::assemble_report_with_failures)):
 /// when a work unit failed every healing pass, its cell is still assembled
-/// from the surviving repetitions. For full groups the result is identical to
-/// [`assemble_outcome`] (which delegates here).
+/// from the surviving repetitions.
 pub fn assemble_outcome_grouped(
     kernel: &str,
     config: &ComparisonConfig,

@@ -3,8 +3,7 @@
 //! The plane itself (sites, plans, the `ALIC_CHAOS` knob, the global
 //! activation switch) lives in [`alic_stats::fault`] so that every layer of
 //! the stack — including the model crate's GP factorization — can consult
-//! it. This module re-exports that API and adds the injection adapters that
-//! need core/sim types:
+//! it. This module adds the injection adapters that need core/sim types:
 //!
 //! * [`ChaosProfiler`] — wraps any [`Profiler`] and corrupts individual
 //!   observations to NaN at the [`FaultSite::ObservationNan`] site,
@@ -22,13 +21,9 @@
 //! observation, faults or no faults, and the recorded cost ledger and model
 //! inputs come out identical.
 
-pub use alic_stats::fault::{
-    deactivate, exclusive, exclusive_clean, inject, injections, install, is_active, plan_seed,
-    ChaosGuard, FaultPlan, FaultSite, SiteSpec, CHAOS_ENV,
-};
-
 use alic_sim::profiler::{Measurement, Profiler};
 use alic_sim::space::{Configuration, ParameterSpace};
+use alic_stats::fault::{inject, FaultSite};
 
 use crate::CoreError;
 
@@ -118,6 +113,7 @@ mod tests {
     use super::*;
     use alic_sim::profiler::SimulatedProfiler;
     use alic_sim::spapt::{spapt_kernel, SpaptKernel};
+    use alic_stats::fault::{exclusive, exclusive_clean, FaultPlan};
 
     #[test]
     fn chaos_profiler_is_a_passthrough_without_a_plane() {

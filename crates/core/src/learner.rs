@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 
 use rand::seq::SliceRandom;
 use rand::Rng as _;
-use serde::{Deserialize, Serialize};
 
 use alic_data::dataset::Dataset;
 use alic_data::split::TrainTestSplit;
@@ -43,7 +42,7 @@ use crate::plan::SamplingPlan;
 use crate::{CoreError, Result};
 
 /// Configuration of one learning run (the parameters of Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnerConfig {
     /// `n_init`: number of randomly chosen seed examples (the paper uses 5).
     pub initial_examples: usize,
@@ -82,7 +81,7 @@ impl Default for LearnerConfig {
 }
 
 /// Per-example profiling record kept by the learner (the paper's map `D`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExampleRecord {
     /// Index of the example in the dataset.
     pub dataset_index: usize,
@@ -91,7 +90,7 @@ pub struct ExampleRecord {
 }
 
 /// Outcome of one learning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnerRun {
     /// The plan that produced this run.
     pub plan: SamplingPlan,

@@ -5,12 +5,10 @@
 //! exactly that, separating compile from run time so experiments can report
 //! both.
 
-use serde::{Deserialize, Serialize};
-
 use alic_sim::profiler::Measurement;
 
 /// Cumulative profiling cost of a learning run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostLedger {
     run_seconds: f64,
     compile_seconds: f64,

@@ -66,10 +66,6 @@ pub mod plan;
 pub mod runner;
 pub mod warmstore;
 
-/// The unified retry/timeout/backoff policy (re-exported from
-/// `alic_stats::policy`): every ledger and serve retry routes through it.
-pub use alic_stats::policy;
-
 /// Convenient re-exports of the types needed to drive the learner.
 pub mod prelude {
     pub use crate::acquisition::Acquisition;

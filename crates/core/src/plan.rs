@@ -12,10 +12,8 @@
 //!   until they have accumulated `max_observations` runs, so the learner can
 //!   revisit exactly the configurations whose measurements look noisy.
 
-use serde::{Deserialize, Serialize};
-
 /// How many observations each selected training example receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SamplingPlan {
     /// A fixed number of observations per example; examples are never
     /// revisited.

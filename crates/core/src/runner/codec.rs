@@ -1,7 +1,7 @@
 //! Hand-rolled JSON codecs for campaign records and reports.
 //!
-//! The vendored `serde` is a no-op marker, so every type that crosses the
-//! campaign ledger's process boundary is encoded explicitly through
+//! The workspace has no serialization framework, so every type that crosses
+//! the campaign ledger's process boundary is encoded explicitly through
 //! [`JsonValue`] (the canonical writer/parser of `alic-data::io`). Two
 //! properties matter here:
 //!

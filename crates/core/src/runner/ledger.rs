@@ -46,9 +46,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use alic_data::io::JsonValue;
+use alic_stats::fault::{inject, FaultSite};
 use alic_stats::policy::{PolicySite, RetryPolicy};
 
-use crate::fault::{inject, FaultSite};
 use crate::runner::{codec, CampaignReport, CampaignSpec, UnitRecord};
 use crate::{CoreError, Result};
 

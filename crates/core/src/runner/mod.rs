@@ -27,9 +27,9 @@
 //!   in final float ulps.
 //!
 //! Curve averaging and the Table 1 statistics are a *pure merge step* over
-//! unit records ([`assemble_report`] →
-//! [`assemble_outcome`](crate::experiment::assemble_outcome)), so they can
-//! run long after — and on a different machine than — the units themselves.
+//! unit records ([`assemble_report`] → [`assemble_outcome_grouped`]), so
+//! they can run long after — and on a different machine than — the units
+//! themselves.
 //!
 //! [`compare_plans`](crate::experiment::compare_plans), the experiment
 //! binaries (`table1`, `fig5`, `fig6`, `ablation`) and the `campaign` CLI
@@ -460,7 +460,9 @@ pub struct ExecutionOutcome {
 /// a [`UnitFailure`].
 pub const UNIT_ATTEMPTS: usize = 3;
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic payload (`&str` and `String` payloads; any
+/// other payload type gets a fixed placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -693,7 +695,7 @@ impl CampaignReport {
 /// The pure merge step: validates that `records` cover the campaign's full
 /// unit matrix and folds them — grouped per `(kernel, model)` cell, plans
 /// and repetitions in campaign order — into averaged curves and Table 1
-/// statistics via [`assemble_outcome`](crate::experiment::assemble_outcome).
+/// statistics via [`assemble_outcome_grouped`].
 ///
 /// Records may arrive in any order (they are sorted by unit index), so
 /// shards can be merged from any interleaving.

@@ -1,7 +1,6 @@
 //! Profiled datasets.
 
 use rand::Rng as _;
-use serde::{Deserialize, Serialize};
 
 use alic_sim::profiler::Profiler;
 use alic_sim::space::Configuration;
@@ -13,7 +12,7 @@ use alic_stats::FeatureMatrix;
 use crate::split::TrainTestSplit;
 
 /// How a dataset is generated from a profiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetConfig {
     /// Number of distinct configurations to profile (the paper uses 10,000).
     pub configurations: usize,
@@ -34,7 +33,7 @@ impl Default for DatasetConfig {
 }
 
 /// One profiled configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     /// The configuration that was profiled.
     pub configuration: Configuration,
@@ -52,7 +51,7 @@ pub struct DataPoint {
 }
 
 /// A profiled dataset for one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     kernel: String,
     points: Vec<DataPoint>,

@@ -150,14 +150,13 @@ fn parse_error(message: impl Into<String>) -> DataError {
 
 /// A parsed JSON document.
 ///
-/// This is the workspace's registry-free substitute for `serde_json::Value`
-/// (the vendored `serde` is a no-op marker): a plain tree with a strict
-/// parser ([`JsonValue::parse`]) and a canonical writer
-/// ([`JsonValue::to_json_string`]). Object fields keep their insertion
-/// order, numbers are `f64` (exact for integers up to 2^53), and the writer
-/// emits the shortest float representation that round-trips bit-exactly —
-/// the property the campaign ledger's byte-identical merge guarantee rests
-/// on.
+/// This is the workspace's registry-free substitute for `serde_json::Value`:
+/// a plain tree with a strict parser ([`JsonValue::parse`]) and a canonical
+/// writer ([`JsonValue::to_json_string`]). Object fields keep their
+/// insertion order, numbers are `f64` (exact for integers up to 2^53), and
+/// the writer emits the shortest float representation that round-trips
+/// bit-exactly — the property the campaign ledger's byte-identical merge
+/// guarantee rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// A JSON number (always stored as `f64`).

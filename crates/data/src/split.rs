@@ -1,7 +1,5 @@
 //! Train/test splits.
 
-use serde::{Deserialize, Serialize};
-
 use alic_stats::rng::seeded_stream;
 use alic_stats::sampling::split_indices;
 
@@ -9,7 +7,7 @@ use alic_stats::sampling::split_indices;
 ///
 /// The paper (§4.5) marks 7,500 of the 10,000 profiled configurations as the
 /// training pool and evaluates on the remaining 2,500.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainTestSplit {
     train: Vec<usize>,
     test: Vec<usize>,

@@ -12,8 +12,6 @@
 //!   noise source by a factor and reports how the speed-up over the fixed
 //!   baseline degrades.
 
-use serde::{Deserialize, Serialize};
-
 use alic_core::acquisition::Acquisition;
 use alic_core::experiment::{compare_plans, ComparisonConfig};
 use alic_core::plan::SamplingPlan;
@@ -22,7 +20,7 @@ use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 use crate::scale::Scale;
 
 /// Result of the acquisition-function ablation for one strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcquisitionResult {
     /// Strategy label.
     pub acquisition: String,
@@ -78,7 +76,7 @@ pub fn acquisition_ablation(kernel: SpaptKernel, scale: Scale) -> Vec<Acquisitio
 }
 
 /// Result of the noise-robustness ablation for one noise scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseResult {
     /// Multiplier applied to every noise source.
     pub noise_scale: f64,

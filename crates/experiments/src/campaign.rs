@@ -33,7 +33,7 @@
 //! ([`runner::heal_campaign`]): panicking units are isolated and re-executed,
 //! corrupt on-disk records are quarantined to `*.corrupt` and regenerated.
 //! `--chaos seed:spec` (or the `ALIC_CHAOS` environment variable) installs a
-//! deterministic fault-injection plan — see [`alic_core::fault`] — under
+//! deterministic fault-injection plan — see [`alic_stats::fault`] — under
 //! which the healed report must still come out byte-identical; the CI
 //! `chaos-smoke` job holds the binary to exactly that.
 
@@ -69,7 +69,7 @@ pub struct CampaignOptions {
     pub merge: bool,
     /// Deterministic fault-injection plan to install for the run
     /// (`--chaos seed:site=rate[xbudget],...`).
-    pub chaos: Option<alic_core::fault::FaultPlan>,
+    pub chaos: Option<alic_stats::fault::FaultPlan>,
     /// Harvest one trained surrogate per kernel × model into this
     /// warm-start store after a full (non-shard) run completes
     /// (`--warm-store PATH`). Stored under the `"campaign"` noise regime,
@@ -123,7 +123,7 @@ impl CampaignOptions {
         let mut shard: Option<(usize, usize)> = None;
         let mut resume = false;
         let mut merge = false;
-        let mut chaos: Option<alic_core::fault::FaultPlan> = None;
+        let mut chaos: Option<alic_stats::fault::FaultPlan> = None;
         let mut warm_store: Option<PathBuf> = None;
 
         let mut args = args.into_iter();
@@ -180,7 +180,7 @@ impl CampaignOptions {
                 warm_store = Some(PathBuf::from(path));
             } else if let Some(text) = value_of("--chaos", &arg)? {
                 chaos = Some(
-                    alic_core::fault::FaultPlan::parse(&text)
+                    alic_stats::fault::FaultPlan::parse(&text)
                         .map_err(|e| format!("--chaos: {e}"))?,
                 );
             } else if arg == "--resume" {
@@ -272,12 +272,12 @@ pub fn run(options: &CampaignOptions) -> Result<()> {
     struct PlaneOff;
     impl Drop for PlaneOff {
         fn drop(&mut self) {
-            alic_core::fault::deactivate();
+            alic_stats::fault::deactivate();
         }
     }
     let _chaos_guard = options.chaos.as_ref().map(|plan| {
         println!("[chaos plan installed: seed {}]", plan.seed());
-        alic_core::fault::install(plan.clone());
+        alic_stats::fault::install(plan.clone());
         PlaneOff
     });
 
@@ -520,7 +520,7 @@ mod tests {
         assert!(options.resume && options.merge);
         let plan = options.chaos.unwrap();
         assert_eq!(plan.seed(), 7);
-        use alic_core::fault::FaultSite;
+        use alic_stats::fault::FaultSite;
         assert_eq!(plan.site(FaultSite::TornWrite).unwrap().budget, Some(3));
         assert!(plan.site(FaultSite::UnitPanic).is_some());
         assert!(plan.site(FaultSite::WriteIo).is_none());

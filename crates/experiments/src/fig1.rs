@@ -14,7 +14,6 @@
 //! versus roughly half with "perfect knowledge" of the per-point optimum.
 
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 use alic_sim::profiler::{Profiler, SimulatedProfiler};
 use alic_sim::space::Configuration;
@@ -29,7 +28,7 @@ use crate::scale::Scale;
 pub const MAE_THRESHOLD_SECONDS: f64 = 1e-4;
 
 /// Statistics for one point of the unroll plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanePoint {
     /// Unroll factor of loop i1.
     pub unroll_i1: u32,
@@ -46,7 +45,7 @@ pub struct PlanePoint {
 }
 
 /// Result of the Figure 1 study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Result {
     /// Per-point statistics over the unroll plane.
     pub points: Vec<PlanePoint>,

@@ -6,14 +6,12 @@
 //! levels off near 3.1 s) is visible to the human eye despite the noise. The
 //! same sweep over the simulated `adi` kernel reproduces that shape.
 
-use serde::{Deserialize, Serialize};
-
 use alic_sim::profiler::{Profiler, SimulatedProfiler};
 use alic_sim::space::Configuration;
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
 
 /// One point of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Unroll factor applied to loop i1.
     pub unroll: u32,
@@ -24,7 +22,7 @@ pub struct SweepPoint {
 }
 
 /// Result of the Figure 2 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Result {
     /// Points in unroll-factor order.
     pub points: Vec<SweepPoint>,

@@ -6,12 +6,10 @@
 //! module derives those values from a Table 1 result and renders a plain
 //! ASCII bar chart.
 
-use serde::{Deserialize, Serialize};
-
 use crate::table1::Table1Result;
 
 /// One bar of the chart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bar {
     /// Benchmark name (or `"Geo-mean"`).
     pub label: String,
@@ -20,7 +18,7 @@ pub struct Bar {
 }
 
 /// The full Figure 5 data series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// Per-benchmark bars followed by the geometric mean.
     pub bars: Vec<Bar>,

@@ -8,8 +8,6 @@
 //! which all three are active. This module extracts exactly those series
 //! from the plan-comparison outcomes.
 
-use serde::{Deserialize, Serialize};
-
 use alic_core::experiment::ComparisonOutcome;
 use alic_sim::spapt::SpaptKernel;
 
@@ -27,7 +25,7 @@ pub const FIG6_KERNELS: [SpaptKernel; 6] = [
 ];
 
 /// One averaged RMSE-versus-cost series for one sampling plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Plan label (matches the paper's legend).
     pub plan: String,
@@ -38,7 +36,7 @@ pub struct Series {
 }
 
 /// All series for one benchmark (one sub-figure of Figure 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelCurves {
     /// Benchmark name.
     pub benchmark: String,
@@ -47,7 +45,7 @@ pub struct KernelCurves {
 }
 
 /// The full Figure 6 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// One set of curves per benchmark.
     pub kernels: Vec<KernelCurves>,

@@ -5,8 +5,6 @@
 //! the profiling seconds each needed to first reach it, and their ratio (the
 //! speed-up), closing with the geometric mean over the 11 kernels.
 
-use serde::{Deserialize, Serialize};
-
 use alic_core::experiment::{ComparisonConfig, ComparisonOutcome};
 use alic_core::plan::SamplingPlan;
 use alic_core::runner::{self, CampaignSpec};
@@ -16,7 +14,7 @@ use alic_stats::error::geometric_mean;
 use crate::scale::Scale;
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -33,7 +31,7 @@ pub struct Table1Row {
 }
 
 /// The full Table 1 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Result {
     /// One row per benchmark, in the paper's order.
     pub rows: Vec<Table1Row>,

@@ -8,8 +8,6 @@
 //! noise varies *within* a single kernel — the core motivation for an
 //! adaptive sampling plan.
 
-use serde::{Deserialize, Serialize};
-
 use alic_core::runner;
 use alic_sim::profiler::{Profiler, SimulatedProfiler};
 use alic_sim::spapt::{spapt_kernel, SpaptKernel};
@@ -20,7 +18,7 @@ use alic_stats::summary::Summary;
 use crate::scale::Scale;
 
 /// Minimum / mean / maximum triple, as printed in the paper's table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
     /// Smallest observed value.
     pub min: f64,
@@ -42,7 +40,7 @@ impl Spread {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -94,7 +92,7 @@ pub fn run_kernel(
 }
 
 /// The full Table 2 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Result {
     /// One row per benchmark, in the paper's order.
     pub rows: Vec<Table2Row>,

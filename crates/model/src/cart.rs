@@ -7,8 +7,6 @@
 //! and serves both as a standalone baseline model and as a reference point
 //! for the dynamic tree's behaviour in tests.
 
-use serde::{Deserialize, Serialize};
-
 use alic_data::io::JsonValue;
 
 use crate::leaf::{LeafPrior, LeafStats};
@@ -17,7 +15,7 @@ use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
 /// Configuration of the static regression tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CartConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -37,7 +35,7 @@ impl Default for CartConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         stats: LeafStats,
@@ -51,7 +49,7 @@ enum Node {
 }
 
 /// Greedy variance-reduction regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     config: CartConfig,
     nodes: Vec<Node>,

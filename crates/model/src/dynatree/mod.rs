@@ -60,7 +60,6 @@ pub mod scan;
 pub mod tree;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use alic_data::io::JsonValue;
 use alic_stats::rng::{seeded_stream, Rng as StatsRng, SmallRng};
@@ -87,7 +86,7 @@ const SCORE_BLOCK: usize = 64;
 const NO_GROUP: u32 = u32::MAX;
 
 /// Configuration of the dynamic-tree model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynaTreeConfig {
     /// Number of particles. The paper sets the R `dynaTree` package to 5,000
     /// particles; a few hundred are sufficient for the simulated workloads

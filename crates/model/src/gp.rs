@@ -46,8 +46,6 @@
 //! factor per query point. Each row's arithmetic is independent of its
 //! block, so results are bit-identical to the single-point path.
 
-use serde::{Deserialize, Serialize};
-
 use alic_stats::cholesky::Cholesky;
 use alic_stats::matrix::squared_distance;
 use alic_stats::FeatureMatrix;
@@ -67,7 +65,7 @@ const PREDICT_BLOCK: usize = 64;
 const MAX_JITTER_ATTEMPTS: u32 = 8;
 
 /// Hyper-parameters of the squared-exponential Gaussian process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpConfig {
     /// Kernel lengthscale. `None` selects the median pairwise distance of the
     /// training inputs at fit time.

@@ -11,8 +11,6 @@
 //! `O(n log n)` full sort — with a `(distance, index)` total order that
 //! reproduces the stable-sort tie-break (lower index wins) exactly.
 
-use serde::{Deserialize, Serialize};
-
 use alic_stats::matrix::squared_distance;
 use alic_stats::summary::Summary;
 use alic_stats::FeatureMatrix;
@@ -24,7 +22,7 @@ use crate::traits::{ActiveSurrogate, Prediction, SurrogateModel};
 use crate::{validate_training_set, ModelError, Result};
 
 /// Configuration of the k-NN regressor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnnConfig {
     /// Number of neighbours to average.
     pub k: usize,

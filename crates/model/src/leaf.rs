@@ -10,13 +10,11 @@
 //! * the log predictive density of a single new observation (used as the
 //!   particle weight during particle learning).
 
-use serde::{Deserialize, Serialize};
-
 use alic_stats::special::ln_gamma;
 use alic_stats::summary::OnlineStats;
 
 /// Normal–inverse-gamma prior shared by every leaf of a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafPrior {
     /// Prior mean of the leaf mean.
     pub mean: f64,
@@ -50,7 +48,7 @@ impl Default for LeafPrior {
 }
 
 /// Sufficient statistics of the targets currently assigned to a leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LeafStats {
     stats: OnlineStats,
 }

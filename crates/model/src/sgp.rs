@@ -44,8 +44,6 @@
 //! features, once against `Lp` for the variance correction) — bit-identical
 //! to the single-point path, like every other model in this crate.
 
-use serde::{Deserialize, Serialize};
-
 use alic_stats::cholesky::Cholesky;
 use alic_stats::matrix::squared_distance;
 use alic_stats::FeatureMatrix;
@@ -71,7 +69,7 @@ const FIT_BLOCK: usize = 256;
 const MAX_JITTER_ATTEMPTS: u32 = 8;
 
 /// Hyper-parameters of the sparse (inducing-point) Gaussian process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseGpConfig {
     /// Number of inducing points `m` (clamped to the training-set size at
     /// fit time). Fit cost grows as `O(n·m²)`, update and predict as

@@ -11,11 +11,7 @@
 //!
 //! The spec is plain `Copy` data with string round-tripping through
 //! [`SurrogateSpec::name`] / [`SurrogateSpec::from_name`] (the form the CLI
-//! and `ALIC_MODEL` persist). It also carries the serde derives, but note
-//! that the vendored offline `serde` is a no-op marker: full serde
-//! serialization only becomes real once the genuine crate replaces the shim.
-
-use serde::{Deserialize, Serialize};
+//! and `ALIC_MODEL` persist).
 
 use crate::baseline::ConstantMean;
 use crate::cart::{CartConfig, RegressionTree};
@@ -27,7 +23,7 @@ use crate::traits::ActiveSurrogate;
 
 /// A description of a surrogate model that can be stored in experiment
 /// configurations and materialized on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SurrogateSpec {
     /// Particle-learning dynamic tree (the paper's model, §3.2).
     DynaTree(DynaTreeConfig),

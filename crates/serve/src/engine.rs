@@ -34,9 +34,9 @@
 //!   automatically. The `health` verb reports the state plus per-site
 //!   injection and retry counters; `drain` flushes everything and reports
 //!   per-session outcomes as one [`DrainSummary`].
-//! * **Watchdog**: a request exceeding its deadline by
-//!   [`ServeConfig::watchdog_grace`] is flagged by a background thread and,
-//!   on completion, detached exactly like the panic path (`err stuck`).
+//! * **Watchdog**: a request that has run longer than its deadline times
+//!   [`ServeConfig::watchdog_grace`] when it returns is detached exactly
+//!   like the panic path (`err stuck`).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use alic_core::runner::ledger::{quarantine_file, write_atomic, write_verified};
+use alic_core::runner::panic_message;
 use alic_core::warmstore::{WarmKey, WarmStore};
 use alic_model::spec::SurrogateSpec;
 use alic_sim::space::ParameterSpace;
@@ -55,7 +56,6 @@ use crate::protocol::{
     self, code, format_config, format_cost, sanitize, ErrReply, Request, MAX_LINE_BYTES,
 };
 use crate::session::{TuningSession, WarmStart};
-use crate::watchdog::Watchdog;
 
 /// Subdirectory of the serve directory holding one checkpoint per session.
 pub const SESSIONS_DIR: &str = "sessions";
@@ -77,6 +77,11 @@ pub const PROBE_FILE: &str = ".health-probe";
 /// RNG stream label under which per-session seeds derive from the daemon
 /// seed.
 const STREAM_SESSION_SEED: u64 = 0x5e55;
+
+/// Noise-regime label namespacing serve warm-store keys, so surrogates
+/// trained under an incompatible featurization (the campaign's `"campaign"`
+/// entries use its normalizers) never seed serve sessions.
+const NOISE_REGIME: &str = "default";
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -101,13 +106,9 @@ pub struct ServeConfig {
     /// starts entirely — every reply stays byte-identical to a build
     /// without the store.
     pub warm_store: Option<PathBuf>,
-    /// Noise-regime label namespacing warm-store keys, so surrogates
-    /// trained under an incompatible featurization (e.g. campaign
-    /// normalizers) never seed serve sessions.
-    pub noise_regime: String,
-    /// Watchdog grace factor: a request running longer than
-    /// `deadline × watchdog_grace` is flagged as stuck and its session
-    /// detached on completion. `0.0` disables the watchdog.
+    /// Watchdog grace factor: a request that has run longer than
+    /// `deadline × watchdog_grace` when it returns is stuck, and its session
+    /// is detached. `0.0` disables the watchdog.
     pub watchdog_grace: f64,
 }
 
@@ -122,7 +123,6 @@ impl ServeConfig {
             deadline: DEFAULT_DEADLINE,
             checkpoint_every: 1,
             warm_store: None,
-            noise_regime: "default".to_string(),
             watchdog_grace: DEFAULT_WATCHDOG_GRACE,
         }
     }
@@ -297,9 +297,7 @@ pub struct Engine {
     busy_streak: u32,
     warm: Option<WarmStore>,
     state: HealthState,
-    req_seq: u64,
     flush_failures: u64,
-    watchdog: Watchdog,
 }
 
 impl Engine {
@@ -340,9 +338,7 @@ impl Engine {
             busy_streak: 0,
             warm,
             state: HealthState::Healthy,
-            req_seq: 0,
             flush_failures: 0,
-            watchdog: Watchdog::spawn(),
         })
     }
 
@@ -398,20 +394,15 @@ impl Engine {
             Err(e) => return Response::text(e.render(), Action::Continue),
         };
         let started = Instant::now();
-        self.req_seq += 1;
-        let seq = self.req_seq;
-        let grace = self.config.watchdog_grace;
-        let limit = if grace > 0.0 {
-            self.config.deadline.mul_f64(grace)
-        } else {
-            Duration::ZERO
-        };
-        self.watchdog.begin(seq, limit);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(conn, &request, started)));
-        if self.watchdog.finish(seq) {
-            // The watchdog flagged this request as stuck while it ran. The
-            // engine is single-owner, so the only safe enforcement point is
-            // completion: detach the session exactly like the panic path
+        let grace = self.config.watchdog_grace;
+        let limit = self.config.deadline.mul_f64(grace.max(0.0));
+        if !limit.is_zero() && started.elapsed() > limit {
+            // The request outlived deadline × grace: it wedged somewhere the
+            // cooperative deadline checks cannot reach (a stalled syscall, a
+            // pathological fit). The engine is single-owner and Rust has no
+            // safe cancellation, so completion is the only enforcement
+            // point: detach the session exactly like the panic path
             // (durable state is untouched; any reply the late work computed
             // is dropped, and at-least-once reconciliation on re-attach
             // covers a mutation that did commit).
@@ -469,7 +460,7 @@ impl Engine {
             panic!("chaos: injected request panic");
         }
         // An injected stall sleeps past deadline × grace, so both the
-        // cooperative deadline checks and the watchdog observe it.
+        // cooperative deadline checks and the stuck check observe it.
         if inject(FaultSite::Stall) {
             let grace = self.config.watchdog_grace.max(1.0);
             std::thread::sleep(self.config.deadline.mul_f64(2.0 * grace));
@@ -950,7 +941,7 @@ impl Engine {
             // An evicted session's trained surrogate is exactly what the
             // warm store wants: harvest it before the entry disappears.
             if let Some(entry) = self.live.get(&victim) {
-                Self::harvest_warm(&mut self.warm, &self.config.noise_regime, &entry.session);
+                Self::harvest_warm(&mut self.warm, &entry.session);
             }
             self.live.remove(&victim);
         }
@@ -958,10 +949,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Builds the warm-store key for a session under this engine's noise
-    /// regime.
-    fn warm_key(noise: &str, kernel: &str, space: &ParameterSpace, spec: SurrogateSpec) -> WarmKey {
-        WarmKey::new(kernel, space, spec.name(), noise)
+    /// Builds the warm-store key for a session.
+    fn warm_key(kernel: &str, space: &ParameterSpace, spec: SurrogateSpec) -> WarmKey {
+        WarmKey::new(kernel, space, spec.name(), NOISE_REGIME)
     }
 
     /// Looks up a cached surrogate for a prospective session. `None` when
@@ -973,7 +963,7 @@ impl Engine {
         spec: SurrogateSpec,
     ) -> Option<WarmStart> {
         let store = self.warm.as_mut()?;
-        let key = Self::warm_key(&self.config.noise_regime, kernel, space, spec);
+        let key = Self::warm_key(kernel, space, spec);
         let entry = store.probe(&key)?;
         Some(WarmStart {
             snapshot: entry.model.clone(),
@@ -983,12 +973,12 @@ impl Engine {
 
     /// Offers a session's trained surrogate to the warm store (associated
     /// fn so callers can split the borrow of `self.warm` from `self.live`).
-    fn harvest_warm(warm: &mut Option<WarmStore>, noise: &str, session: &TuningSession) {
+    fn harvest_warm(warm: &mut Option<WarmStore>, session: &TuningSession) {
         let Some(store) = warm.as_mut() else { return };
         let Some((depth, snapshot)) = session.model_snapshot() else {
             return;
         };
-        let key = Self::warm_key(noise, session.kernel(), session.space(), session.spec());
+        let key = Self::warm_key(session.kernel(), session.space(), session.spec());
         store.insert(&key, depth, snapshot);
     }
 
@@ -1026,7 +1016,7 @@ impl Engine {
         let mut warm_store_error = None;
         if self.warm.is_some() {
             for entry in self.live.values() {
-                Self::harvest_warm(&mut self.warm, &self.config.noise_regime, &entry.session);
+                Self::harvest_warm(&mut self.warm, &entry.session);
             }
             if let Some(store) = &self.warm {
                 if let Err(e) = store.save() {
@@ -1076,16 +1066,6 @@ fn checkpoint_session(path: &Path, session: &TuningSession) -> Result<(), ErrRep
     let text = session.to_checkpoint_string()?;
     write_verified(path, &text)
         .map_err(|e| ErrReply::new(code::IO, format!("checkpointing {}: {e}", session.id())))
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@
 //!   (or SIGTERM, in both transports) stops admission and flushes every
 //!   session with a structured per-session outcome report
 //!   ([`engine::DrainSummary`]);
-//! * a watchdog thread ([`watchdog`]) flags requests that blow through
-//!   their deadline by a grace factor; the wedged session is detached like
+//! * a request that returns after blowing through its deadline by a grace
+//!   factor (`--watchdog-grace`) is stuck: its session is detached like
 //!   the panic path and restored from its checkpoint on re-attach.
 //!
 //! The `alic_stats::fault` chaos plane reaches into the daemon end to end:
@@ -56,7 +56,6 @@ pub mod engine;
 pub mod protocol;
 pub mod session;
 pub mod term;
-pub mod watchdog;
 
 pub use engine::{
     Action, ConnState, DrainSummary, Engine, FlushOutcome, HealthState, Response, ServeConfig,

@@ -477,12 +477,8 @@ impl TuningSession {
                 .field("kind")
                 .and_then(|v| v.as_str())
                 .map_err(|e| format!("space entry: {e}"))?;
-            let kind = match kind_label {
-                "unroll" => ParamKind::Unroll,
-                "cache-tile" => ParamKind::CacheTile,
-                "register-tile" => ParamKind::RegisterTile,
-                other => return Err(format!("unknown parameter kind {other:?}")),
-            };
+            let kind = ParamKind::from_label(kind_label)
+                .ok_or_else(|| format!("unknown parameter kind {kind_label:?}"))?;
             let bound = |field: &str| -> Result<u32, String> {
                 let n = p
                     .field(field)

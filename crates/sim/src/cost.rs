@@ -7,12 +7,10 @@
 //! to process. This module provides a simple, deterministic model of that
 //! cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::space::{Configuration, ParamKind, ParameterSpace};
 
 /// Deterministic compile-time model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompileCostModel {
     /// Compile time of the untuned configuration, in seconds.
     pub base_compile_time: f64,

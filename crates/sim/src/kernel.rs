@@ -6,15 +6,13 @@
 //! noise, and (optionally) pinned response shapes for specific parameters so
 //! that the figures of the paper can be reproduced exactly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::noise::NoiseProfile;
 use crate::space::{ParamSpec, ParameterSpace};
 use crate::surface::EffectShape;
 use crate::Result;
 
 /// Complete description of a simulated benchmark kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     name: String,
     space: ParameterSpace,

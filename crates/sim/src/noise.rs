@@ -21,14 +21,13 @@
 //!   modelling address-space layout randomization re-randomizing every run.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use alic_stats::rng::seeded_stream;
 
 use crate::space::{unit_position, Configuration, ParameterSpace};
 
 /// Per-kernel calibration of the noise model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseProfile {
     /// Standard deviation of the Gaussian jitter at the quiet end of the
     /// noise field, in seconds.
@@ -109,7 +108,7 @@ impl Default for NoiseProfile {
 }
 
 /// Deterministic, seeded noise model over a parameter space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseModel {
     profile: NoiseProfile,
     // Random projection weights defining the smooth noise field.

@@ -6,7 +6,6 @@
 //! [`Configuration`] assigns each a concrete value.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, SimError};
 
@@ -14,7 +13,7 @@ use crate::{Result, SimError};
 ///
 /// The kind determines both the ground-truth response shape used by the
 /// simulator and the compile-cost contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamKind {
     /// Loop unroll factor (the paper's i1/i2 unroll factors; Figures 1–2).
     Unroll,
@@ -33,10 +32,21 @@ impl ParamKind {
             ParamKind::RegisterTile => "register-tile",
         }
     }
+
+    /// The kind whose [`ParamKind::label`] is `label`, if any.
+    pub fn from_label(label: &str) -> Option<ParamKind> {
+        [
+            ParamKind::Unroll,
+            ParamKind::CacheTile,
+            ParamKind::RegisterTile,
+        ]
+        .into_iter()
+        .find(|kind| kind.label() == label)
+    }
 }
 
 /// One tunable parameter: a named integer with an inclusive range.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParamSpec {
     /// Parameter name, e.g. `"U_i1"`.
     pub name: String,
@@ -95,7 +105,7 @@ impl ParamSpec {
 ///
 /// Configurations are plain value vectors; validity with respect to a space
 /// is checked by [`ParameterSpace::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Configuration {
     values: Vec<u32>,
 }
@@ -148,7 +158,7 @@ impl std::fmt::Display for Configuration {
 }
 
 /// The full tunable search space of a kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParameterSpace {
     params: Vec<ParamSpec>,
 }
@@ -370,6 +380,19 @@ mod tests {
         assert_eq!(ParamSpec::unroll("u").cardinality(), 30);
         assert_eq!(ParamSpec::cache_tile("t").cardinality(), 12);
         assert_eq!(ParamSpec::register_tile("r").cardinality(), 16);
+    }
+
+    #[test]
+    fn kind_labels_round_trip() {
+        for kind in [
+            ParamKind::Unroll,
+            ParamKind::CacheTile,
+            ParamKind::RegisterTile,
+        ] {
+            assert_eq!(ParamKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(ParamKind::from_label("Unroll"), None);
+        assert_eq!(ParamKind::from_label(""), None);
     }
 
     #[test]

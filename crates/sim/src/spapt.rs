@@ -18,15 +18,13 @@
 //! constraint sets are not public in the paper; EXPERIMENTS.md records the
 //! values actually used.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::KernelSpec;
 use crate::noise::NoiseProfile;
 use crate::space::ParamSpec;
 use crate::surface::EffectShape;
 
 /// The 11 SPAPT benchmarks used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum SpaptKernel {
     Adi,

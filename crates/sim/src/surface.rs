@@ -17,7 +17,6 @@
 //! surface is identical across processes and platforms.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use alic_stats::rng::{seeded_stream, Rng as StatsRng};
 
@@ -28,7 +27,7 @@ use crate::space::{unit_position, Configuration, ParamKind, ParameterSpace};
 /// All shapes are evaluated on the *normalized* parameter position
 /// `t ∈ [0, 1]` and return a relative runtime contribution (e.g. `0.3` means
 /// "+30% of the base runtime").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EffectShape {
     /// Flat response: the parameter barely matters.
     Flat {
@@ -90,7 +89,7 @@ impl EffectShape {
 }
 
 /// Pairwise interaction between two parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Interaction {
     left: usize,
     right: usize,
@@ -98,7 +97,7 @@ struct Interaction {
 }
 
 /// Deterministic ground-truth response surface over a parameter space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResponseSurface {
     base_runtime: f64,
     shapes: Vec<EffectShape>,

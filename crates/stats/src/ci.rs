@@ -6,14 +6,12 @@
 //! that ratio for 5- and 35-observation plans. This module provides exactly
 //! that machinery.
 
-use serde::{Deserialize, Serialize};
-
 use crate::special::student_t_quantile;
 use crate::summary::Summary;
 use crate::{Result, StatsError};
 
 /// A two-sided confidence interval for a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Sample mean.
     pub mean: f64,

@@ -73,8 +73,9 @@ pub enum FaultSite {
     TornReply = 9,
     /// A ledger write fails with out-of-space (`ENOSPC`): the disk is full.
     Enospc = 10,
-    /// A request stalls: the instrumented site sleeps long enough to trip its
-    /// deadline (and the serve watchdog's grace factor).
+    /// A serve request stalls: it sleeps for twice its deadline times the
+    /// watchdog grace factor (at least 1), so it trips the deadline and,
+    /// unless the watchdog is disabled, replies `err stuck`.
     Stall = 11,
     /// File-descriptor exhaustion: opening or writing a file fails with
     /// `EMFILE`-style errors.

@@ -13,8 +13,6 @@
 //! linear-algebra operand (multiplication, Cholesky), while `FeatureMatrix`
 //! is an append-only row store optimized for the surrogate hot path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// A contiguous row-major store of equally long feature vectors.
@@ -31,7 +29,7 @@ use crate::{Result, StatsError};
 /// let views: Vec<&[f64]> = m.gather([1usize, 0].iter().copied());
 /// assert_eq!(views[0], &[2.0, 3.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     dim: usize,
     data: Vec<f64>,

@@ -5,8 +5,6 @@
 //! symmetric-positive-definite solves via [`crate::cholesky`]. This keeps the
 //! workspace free of an external linear-algebra dependency.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// Dense row-major matrix of `f64`.
@@ -20,7 +18,7 @@ use crate::{Result, StatsError};
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -6,8 +6,6 @@
 //! deviations on a training matrix and applies (or inverts) the affine
 //! transform.
 
-use serde::{Deserialize, Serialize};
-
 use crate::summary::Summary;
 use crate::{Result, StatsError};
 
@@ -26,7 +24,7 @@ use crate::{Result, StatsError};
 /// let z = norm.transform_row(&rows[1]).unwrap();
 /// assert!(z.iter().all(|v| v.abs() < 1e-9)); // middle row maps to the origin
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalizer {
     means: Vec<f64>,
     scales: Vec<f64>,

@@ -5,8 +5,6 @@
 //! paper), while the evaluation needs batch statistics over whole datasets
 //! (Table 2). Both are provided here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, StatsError};
 
 /// Batch summary statistics of a sample.
@@ -19,7 +17,7 @@ use crate::{Result, StatsError};
 /// assert_eq!(s.count, 4);
 /// assert!((s.mean - 2.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -100,7 +98,7 @@ impl Default for Summary {
 /// assert!((stats.mean() - 4.0).abs() < 1e-12);
 /// assert!((stats.variance() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: usize,
     mean: f64,

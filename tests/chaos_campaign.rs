@@ -27,7 +27,6 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 
 use alic::core::experiment::ComparisonConfig;
-use alic::core::fault::{self, FaultPlan, FaultSite};
 use alic::core::learner::LearnerConfig;
 use alic::core::plan::SamplingPlan;
 use alic::core::runner::{self, CampaignLedger, CampaignSpec};
@@ -37,6 +36,7 @@ use alic::model::SurrogateSpec;
 use alic::sim::kernel::KernelSpec;
 use alic::sim::noise::NoiseProfile;
 use alic::sim::space::ParamSpec;
+use alic::stats::fault::{self, FaultPlan, FaultSite};
 use alic::stats::rng::seeded_rng;
 
 fn toy_kernel(name: &str, surface_seed: u64) -> KernelSpec {

@@ -50,9 +50,9 @@ fn temp_dir(label: &str) -> PathBuf {
 }
 
 /// The pressure config: a short deadline so injected stalls overrun it, a
-/// tight watchdog grace so the watchdog (3ms poll) flags them well within
-/// the test, and the default cadence of 1 so every acknowledged observe is
-/// durable before its reply.
+/// tight watchdog grace so a stall (which sleeps 2 × deadline × grace)
+/// stays short, and the default cadence of 1 so every acknowledged observe
+/// is durable before its reply.
 fn pressure_config(dir: &Path) -> ServeConfig {
     let mut config = ServeConfig::new(dir);
     config.deadline = Duration::from_millis(50);
@@ -154,10 +154,10 @@ fn settle(engine: &mut Engine, conn: &mut ConnState, line: &str, obs_done: &mut 
 
 /// Creates the workload's session, retrying through the pressure. A
 /// `newsession` shed by the ladder commits nothing (the checkpoint write
-/// failed before the id was consumed), but one flagged by the watchdog
-/// (`err stuck` after an injected stall) may well have committed — so the
-/// driver probes the `sessions` listing before re-creating, and attaches
-/// to `s000000` if the first attempt already landed.
+/// failed before the id was consumed), but one the watchdog reports as
+/// stuck (`err stuck` after an injected stall) may well have committed — so
+/// the driver probes the `sessions` listing before re-creating, and
+/// attaches to `s000000` if the first attempt already landed.
 fn create_session(engine: &mut Engine, conn: &mut ConnState) {
     for _ in 0..MAX_TRIES {
         let reply = engine.handle_line(conn, NEWSESSION).reply.unwrap();
@@ -354,6 +354,49 @@ fn watchdog_detaches_a_stalled_request_and_reattach_restores() {
         .reply
         .unwrap();
     assert_eq!(reply, format!("ok attached {SID} obs 2"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Stuck detection reads the clock when the request returns, so the verdict
+/// cannot depend on thread scheduling: with a 1ms deadline and grace 1, a
+/// request stalled for 2ms is stuck every time, and grace 0 disables the
+/// check even for that stall.
+#[test]
+fn stuck_detection_is_deterministic() {
+    let _guard = fault::exclusive_clean();
+    let dir = temp_dir("stuck");
+    let mut engine = Engine::open(ServeConfig::new(&dir)).unwrap();
+    let mut conn = ConnState::new();
+    engine.handle_line(&mut conn, NEWSESSION).reply.unwrap();
+    let reply = engine
+        .handle_line(&mut conn, "observe 3,2 4.0")
+        .reply
+        .unwrap();
+    assert_eq!(reply, "ok observed 1");
+    drop(engine);
+
+    let stalled_attach = |grace: f64| {
+        let mut config = ServeConfig::new(&dir);
+        config.deadline = Duration::from_millis(1);
+        config.watchdog_grace = grace;
+        let mut engine = Engine::open(config).unwrap();
+        let mut conn = ConnState::new();
+        fault::install(FaultPlan::new(31).with_site(FaultSite::Stall, 1.0, Some(1)));
+        let reply = engine
+            .handle_line(&mut conn, &format!("attach {SID}"))
+            .reply
+            .unwrap();
+        fault::deactivate();
+        reply
+    };
+    for run in 0..20 {
+        let reply = stalled_attach(1.0);
+        assert!(reply.starts_with("err stuck "), "run {run}: {reply}");
+    }
+    for run in 0..20 {
+        let reply = stalled_attach(0.0);
+        assert_eq!(reply, format!("ok attached {SID} obs 1"), "run {run}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
