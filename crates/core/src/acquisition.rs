@@ -91,8 +91,23 @@ impl Acquisition {
         // Ties favour the earliest candidate: the learner lists fresh
         // (unseen) candidates before revisit candidates, which makes ties
         // resolve towards exploration.
-        Ok((0..scores.len()).min_by(|&a, &b| score_order(&scores, a, b)))
+        Ok(rank(&scores, 1).first().copied())
     }
+}
+
+/// The indices of the `k` best `scores` (fewer when there are fewer
+/// scores), best first under [`score_order`]. It partitions around the
+/// k-th place and sorts only the first `k`, so picking one is linear.
+pub fn rank(scores: &[f64], k: usize) -> Vec<usize> {
+    let k = k.min(scores.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.select_nth_unstable_by(k - 1, |&a, &b| score_order(scores, a, b));
+    order.truncate(k);
+    order.sort_unstable_by(|&a, &b| score_order(scores, a, b));
+    order
 }
 
 /// The one ordering over acquisition scores, as a comparator on candidate
@@ -274,22 +289,28 @@ mod tests {
         }
     }
 
+    /// Scores with NaNs of both signs, signed zeros, infinities and a tie.
+    const MIXED: [f64; 9] = [
+        0.5,
+        f64::NAN,
+        1.0,
+        -0.0,
+        -f64::NAN,
+        0.0,
+        f64::INFINITY,
+        1.0,
+        f64::NEG_INFINITY,
+    ];
+
+    /// `MIXED`'s indices under `score_order`.
+    const MIXED_ORDER: [usize; 9] = [6, 2, 7, 0, 3, 5, 8, 1, 4];
+
     #[test]
     fn score_order_is_total_with_nans_last_and_signed_zeros_tied() {
-        let scores = [
-            0.5,
-            f64::NAN,
-            1.0,
-            -0.0,
-            -f64::NAN,
-            0.0,
-            f64::INFINITY,
-            1.0,
-            f64::NEG_INFINITY,
-        ];
+        let scores = MIXED;
         let mut order: Vec<usize> = (0..scores.len()).collect();
         order.sort_by(|&a, &b| score_order(&scores, a, b));
-        assert_eq!(order, [6, 2, 7, 0, 3, 5, 8, 1, 4]);
+        assert_eq!(order, MIXED_ORDER);
         // Antisymmetric and transitive over every pair and triple.
         let n = scores.len();
         for a in 0..n {
@@ -303,6 +324,14 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rank_is_a_prefix_of_the_full_order() {
+        for k in 0..=MIXED.len() + 1 {
+            let prefix = &MIXED_ORDER[..k.min(MIXED.len())];
+            assert_eq!(rank(&MIXED, k), prefix, "k = {k}");
         }
     }
 

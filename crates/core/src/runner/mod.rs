@@ -87,7 +87,8 @@
 pub mod codec;
 pub mod ledger;
 
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use alic_data::dataset::Dataset;
 use alic_data::split::TrainTestSplit;
@@ -366,18 +367,71 @@ pub fn execute_unit_capturing(
 /// Order-preserving parallel map — the executor primitive beneath
 /// [`execute_units_resilient`], exposed so experiment stages with their own
 /// unit shape (for example Table 2's per-kernel noise rows) run on the same
-/// workers. Results are written back by index, so the output is independent
+/// workers. Results come back in input order, so the output is independent
 /// of the thread count and scheduling order.
 ///
 /// This is the workspace's only parallel layer: the surrogate models and
-/// everything else inside a unit run serially.
+/// everything else inside a unit run serially. It runs on
+/// [`worker_threads`] threads.
 pub fn map_units<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
     F: Fn(&I) -> T + Sync + Send,
 {
-    items.par_iter().map(f).collect()
+    map_units_on(worker_threads(), items, f)
+}
+
+/// The worker-thread count of [`map_units`]: the `RAYON_NUM_THREADS`
+/// environment variable when it holds a positive integer, otherwise the
+/// machine's available parallelism. Read once per process.
+pub fn worker_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// [`map_units`] on `threads` scoped workers. Each worker claims the next
+/// index from one shared cursor and keeps its own `(index, result)` list;
+/// the lists are merged in index order. A panic in `f` reaches the caller
+/// with its original payload.
+fn map_units_on<I, T, F>(threads: usize, items: &[I], f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(&I) -> T + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    // Relaxed suffices: the cursor publishes no data, it only hands out
+    // indices; results come back through `join`, which synchronizes.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, f(item)));
+        }
+    };
+    let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The per-kernel contexts shared by every unit of one executor call.
@@ -1198,7 +1252,38 @@ mod tests {
     #[test]
     fn map_units_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
-        let doubled = map_units(&items, |&i| i * 2);
-        assert_eq!(doubled, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+        let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
+        assert_eq!(map_units(&items, |&i| i * 2), expected);
+        for threads in [1, 2, 3, 7, 200] {
+            assert_eq!(map_units_on(threads, &items, |&i| i * 2), expected);
+            assert!(map_units_on(threads, &[] as &[usize], |&i| i).is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 5 failed")]
+    fn a_worker_panic_reaches_the_caller() {
+        let items: Vec<usize> = (0..10).collect();
+        map_units_on(3, &items, |&i| {
+            assert_ne!(i, 5, "unit {i} failed");
+            i
+        });
+    }
+
+    #[test]
+    fn outcome_is_independent_of_the_thread_count() {
+        // Units derive their own seeds and are merged by index, so one
+        // worker and three workers must give equal runs.
+        let _clean = alic_stats::fault::exclusive_clean();
+        let spec = tiny_campaign();
+        let indices: Vec<usize> = (0..spec.unit_count()).collect();
+        let contexts = UnitContexts::prepare(&spec, &indices).unwrap();
+        let runs_on = |threads| {
+            map_units_on(threads, &indices, |&index| {
+                let key = spec.unit(index);
+                execute_unit(&spec, contexts.for_kernel(key.kernel), key).unwrap()
+            })
+        };
+        assert_eq!(runs_on(1), runs_on(3));
     }
 }

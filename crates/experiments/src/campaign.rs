@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! campaign [quick|laptop|full] [--model m1,m2,...] [--kernels k1,k2,...]
-//!          [--dir PATH] [--shard i/n] [--resume] [--merge]
-//!          [--chaos seed:site=rate[xbudget],...]
+//!          [--dir PATH] [--shard i/n] [--resume] [--merge] [--warm-store PATH]
 //! ```
 //!
 //! * Without `--shard`/`--merge`, it runs every unit of the matrix,
@@ -32,10 +31,10 @@
 //! Units always run through the self-healing executor
 //! ([`runner::heal_campaign`]): panicking units are isolated and re-executed,
 //! corrupt on-disk records are quarantined to `*.corrupt` and regenerated.
-//! `--chaos seed:spec` (or the `ALIC_CHAOS` environment variable) installs a
-//! deterministic fault-injection plan — see [`alic_stats::fault`] — under
-//! which the healed report must still come out byte-identical; the CI
-//! `chaos-smoke` job holds the binary to exactly that.
+//! The `ALIC_CHAOS` environment variable installs a deterministic
+//! fault-injection plan — see [`alic_stats::fault`] — under which the
+//! healed report must still come out byte-identical; the CI `chaos-smoke`
+//! job holds the binary to exactly that.
 
 use std::path::PathBuf;
 
@@ -67,9 +66,6 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Merge checkpointed units into `report.json` instead of running any.
     pub merge: bool,
-    /// Deterministic fault-injection plan to install for the run
-    /// (`--chaos seed:site=rate[xbudget],...`).
-    pub chaos: Option<alic_stats::fault::FaultPlan>,
     /// Harvest one trained surrogate per kernel × model into this
     /// warm-start store after a full (non-shard) run completes
     /// (`--warm-store PATH`). Stored under the `"campaign"` noise regime,
@@ -95,7 +91,7 @@ impl CampaignOptions {
                 eprintln!(
                     "usage: campaign [quick|laptop|full] [--model {}[,...]] \
                      [--kernels adi,mvt,...] [--dir PATH] [--shard i/n] [--resume] [--merge] \
-                     [--chaos seed:site=rate[xbudget],...] [--warm-store PATH]",
+                     [--warm-store PATH]",
                     SurrogateSpec::names().join("|")
                 );
                 std::process::exit(2);
@@ -123,7 +119,6 @@ impl CampaignOptions {
         let mut shard: Option<(usize, usize)> = None;
         let mut resume = false;
         let mut merge = false;
-        let mut chaos: Option<alic_stats::fault::FaultPlan> = None;
         let mut warm_store: Option<PathBuf> = None;
 
         let mut args = args.into_iter();
@@ -178,11 +173,6 @@ impl CampaignOptions {
                 );
             } else if let Some(path) = value_of("--warm-store", &arg)? {
                 warm_store = Some(PathBuf::from(path));
-            } else if let Some(text) = value_of("--chaos", &arg)? {
-                chaos = Some(
-                    alic_stats::fault::FaultPlan::parse(&text)
-                        .map_err(|e| format!("--chaos: {e}"))?,
-                );
             } else if arg == "--resume" {
                 resume = true;
             } else if arg == "--merge" {
@@ -229,7 +219,6 @@ impl CampaignOptions {
             shard,
             resume,
             merge,
-            chaos,
             warm_store,
         })
     }
@@ -267,20 +256,6 @@ impl CampaignOptions {
 /// Returns campaign, learner or ledger errors; the binary prints them and
 /// exits non-zero.
 pub fn run(options: &CampaignOptions) -> Result<()> {
-    // Deactivates an explicitly installed fault plane on every exit path, so
-    // a library caller's next invocation starts clean.
-    struct PlaneOff;
-    impl Drop for PlaneOff {
-        fn drop(&mut self) {
-            alic_stats::fault::deactivate();
-        }
-    }
-    let _chaos_guard = options.chaos.as_ref().map(|plan| {
-        println!("[chaos plan installed: seed {}]", plan.seed());
-        alic_stats::fault::install(plan.clone());
-        PlaneOff
-    });
-
     let spec = options.campaign_spec();
     let ledger = CampaignLedger::open(&options.dir, &spec)?;
     println!(
@@ -505,8 +480,6 @@ mod tests {
             "2/3",
             "--resume",
             "--merge",
-            "--chaos",
-            "7:torn=0.5x3,panic=0.1",
         ])
         .unwrap();
         assert_eq!(options.scale, Scale::Quick);
@@ -518,12 +491,6 @@ mod tests {
         assert_eq!(options.dir, PathBuf::from("/tmp/x"));
         assert_eq!(options.shard, Some((2, 3)));
         assert!(options.resume && options.merge);
-        let plan = options.chaos.unwrap();
-        assert_eq!(plan.seed(), 7);
-        use alic_stats::fault::FaultSite;
-        assert_eq!(plan.site(FaultSite::TornWrite).unwrap().budget, Some(3));
-        assert!(plan.site(FaultSite::UnitPanic).is_some());
-        assert!(plan.site(FaultSite::WriteIo).is_none());
     }
 
     #[test]
@@ -549,8 +516,6 @@ mod tests {
         assert!(parse(&["--kernels", "bogus"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--dir"]).is_err());
-        assert!(parse(&["--chaos", "not-a-plan"]).is_err());
-        assert!(parse(&["--chaos", "7:torn=1.5"]).is_err());
     }
 
     #[test]

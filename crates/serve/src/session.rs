@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use alic_core::acquisition::score_order;
+use alic_core::acquisition::rank;
 use alic_data::io::JsonValue;
 use alic_model::snapshot::{restore_snapshot, Snapshot};
 use alic_model::spec::SurrogateSpec;
@@ -297,9 +297,7 @@ impl TuningSession {
             .collect();
         let ref_views: Vec<&[f64]> = ref_rows.iter().map(|r| r.as_slice()).collect();
         let scores = model.alc_scores(&views, &ref_views)?;
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| score_order(&scores, a, b));
-        Ok(order[..take]
+        Ok(rank(&scores, take)
             .iter()
             .map(|&i| candidates[i].clone())
             .collect())

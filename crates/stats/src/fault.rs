@@ -203,8 +203,7 @@ impl FaultPlan {
     }
 
     /// Parses a `<seed>:<site>=<rate>[x<budget>],...` spec, the format of
-    /// the `ALIC_CHAOS` environment variable and the campaign binary's
-    /// `--chaos` flag.
+    /// the `ALIC_CHAOS` environment variable.
     ///
     /// # Examples
     ///

@@ -179,8 +179,8 @@ proptest! {
 
 #[test]
 fn chaos_campaign_cli_heals_to_the_fault_free_report() {
-    // The same property end-to-end through the campaign binary's library
-    // entry point and its `--chaos` flag.
+    // The same property through the self-healing executor the campaign
+    // binary runs, with the plan installed for the whole run.
     let baseline = baseline_json();
     let spec = tiny_campaign();
     let dir = std::env::temp_dir().join(format!("alic-chaos-cli-{}", std::process::id()));
