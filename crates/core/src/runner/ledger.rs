@@ -43,6 +43,7 @@
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use alic_data::io::JsonValue;
@@ -351,6 +352,30 @@ fn write_atomic_once(path: &Path, contents: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp-{}-{serial}", std::process::id()));
     let tmp = PathBuf::from(tmp);
+    write_faults()?;
+    // A torn write is the one fault atomic rename cannot see: the data lands
+    // truncated but the rename still commits it. The caller's read-back
+    // verification or the resume-time recovery scan must catch it.
+    let payload = torn(contents.as_bytes());
+    // Stray tmp files are removed on *every* failure path (a write that
+    // errors half-way used to leak its tmp); the open-time sweep is the
+    // backstop for tmps orphaned by a kill.
+    fs::write(&tmp, payload).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })?;
+    if inject(FaultSite::RenameFail) {
+        let _ = fs::remove_file(&tmp);
+        return Err(std::io::Error::other("chaos: injected rename failure"));
+    }
+    fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })?;
+    Ok(())
+}
+
+/// The fault sites every durable write passes before it touches the disk:
+/// transient I/O failure, out of space, and file-descriptor exhaustion.
+fn write_faults() -> std::io::Result<()> {
     if inject(FaultSite::WriteIo) {
         return Err(std::io::Error::other(
             "chaos: injected transient write failure",
@@ -367,28 +392,74 @@ fn write_atomic_once(path: &Path, contents: &str) -> std::io::Result<()> {
             "chaos: injected file-descriptor exhaustion (EMFILE)",
         ));
     }
-    // A torn write is the one fault atomic rename cannot see: the data lands
-    // truncated but the rename still commits it. Modelled by writing only a
-    // prefix of the payload and reporting success — the caller's read-back
-    // verification or the resume-time recovery scan must catch it.
-    let payload: &[u8] = if inject(FaultSite::TornWrite) {
-        &contents.as_bytes()[..contents.len() / 2]
+    Ok(())
+}
+
+/// The bytes a write actually lands: all of `payload`, or under an injected
+/// torn write only its first half, with the write still reporting success.
+fn torn(payload: &[u8]) -> &[u8] {
+    if inject(FaultSite::TornWrite) {
+        &payload[..payload.len() / 2]
     } else {
-        contents.as_bytes()
-    };
-    // Stray tmp files are removed on *every* failure path (a write that
-    // errors half-way used to leak its tmp); the open-time sweep is the
-    // backstop for tmps orphaned by a kill.
-    fs::write(&tmp, payload).inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })?;
-    if inject(FaultSite::RenameFail) {
-        let _ = fs::remove_file(&tmp);
-        return Err(std::io::Error::other("chaos: injected rename failure"));
+        payload
     }
-    fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })?;
+}
+
+/// Appends `contents` to the existing file at `path`, whose first `at`
+/// bytes are committed, and returns the new committed length. Anything past
+/// `at` (a torn earlier append, a rolled-back record) is cut off first. The
+/// appended bytes are read back; a mismatch truncates to `at` and retries.
+/// Attempts pass the same fault sites as [`write_atomic`] under
+/// [`RetryPolicy::LEDGER`]. This is the durability primitive behind
+/// serve-session journals: an append costs the bytes appended, not the
+/// file.
+///
+/// # Errors
+///
+/// Returns the last I/O error once all [`WRITE_ATTEMPTS`] attempts fail,
+/// after a best-effort truncation back to `at`.
+pub fn append_verified(path: &Path, at: u64, contents: &str) -> Result<u64> {
+    RetryPolicy::LEDGER
+        .run(PolicySite::LedgerWrite, |_| {
+            append_once(path, at, contents.as_bytes())
+        })
+        .map(|()| at + contents.len() as u64)
+        .map_err(|e| {
+            let _ = truncate_to(path, at);
+            CoreError::Io(e)
+        })
+}
+
+fn append_once(path: &Path, at: u64, contents: &[u8]) -> std::io::Result<()> {
+    write_faults()?;
+    let mut file = fs::OpenOptions::new().read(true).write(true).open(path)?;
+    file.set_len(at)?;
+    file.seek(SeekFrom::Start(at))?;
+    file.write_all(torn(contents))?;
+    file.seek(SeekFrom::Start(at))?;
+    let mut on_disk = Vec::with_capacity(contents.len());
+    file.read_to_end(&mut on_disk)?;
+    if on_disk != contents {
+        file.set_len(at)?;
+        return Err(std::io::Error::other(format!(
+            "{} failed append read-back verification",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Cuts the file at `path` back to its first `len` bytes (the rollback of
+/// an [`append_verified`]).
+///
+/// # Errors
+///
+/// Returns the I/O error of opening or truncating the file.
+pub fn truncate_to(path: &Path, len: u64) -> Result<()> {
+    fs::OpenOptions::new()
+        .write(true)
+        .open(path)?
+        .set_len(len)?;
     Ok(())
 }
 

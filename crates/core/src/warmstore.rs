@@ -11,7 +11,7 @@
 //! # Fingerprint and discriminant
 //!
 //! Each [`WarmKey`] component is hashed independently with a SplitMix64
-//! chain ([`alic_stats::rng::derive_seed`]) salted by a per-component label,
+//! chain ([`alic_stats::rng::hash_bytes`]) salted by a per-component label,
 //! and the four component hashes are XOR-combined — the classic Zobrist
 //! construction, so any single differing component flips the fingerprint.
 //! The fingerprint only selects the bucket; equality is decided by the
@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 use alic_data::io::JsonValue;
 use alic_sim::space::ParameterSpace;
-use alic_stats::rng::derive_seed;
+use alic_stats::rng::hash_bytes;
 
 use crate::runner::ledger::{quarantine_file, write_verified};
 use crate::{CoreError, Result};
@@ -100,19 +100,6 @@ pub fn space_signature(space: &ParameterSpace) -> String {
         .expect("space signatures contain only finite numbers")
 }
 
-/// SplitMix64 chain over a labelled byte string: the label and length seed
-/// the chain, then each 8-byte little-endian word (zero-padded tail) is
-/// folded in. Deterministic across processes and platforms.
-fn component_hash(salt: u64, text: &str) -> u64 {
-    let mut h = derive_seed(salt, text.len() as u64);
-    for chunk in text.as_bytes().chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = derive_seed(h, u64::from_le_bytes(word));
-    }
-    h
-}
-
 impl WarmKey {
     /// Builds a key for `kernel` tuned over `space` with the given
     /// surrogate family and noise-regime label.
@@ -128,10 +115,10 @@ impl WarmKey {
     /// Zobrist fingerprint: XOR of the four independently salted component
     /// hashes. Stable across process restarts.
     pub fn fingerprint(&self) -> u64 {
-        component_hash(SALT_KERNEL, &self.kernel)
-            ^ component_hash(SALT_SPACE, &self.space)
-            ^ component_hash(SALT_FAMILY, &self.family)
-            ^ component_hash(SALT_NOISE, &self.noise)
+        hash_bytes(SALT_KERNEL, self.kernel.as_bytes())
+            ^ hash_bytes(SALT_SPACE, self.space.as_bytes())
+            ^ hash_bytes(SALT_FAMILY, self.family.as_bytes())
+            ^ hash_bytes(SALT_NOISE, self.noise.as_bytes())
     }
 
     /// Structured discriminant: canonical JSON of the four components.

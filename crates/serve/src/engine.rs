@@ -5,9 +5,11 @@
 //! are thin shells around it. Its contracts:
 //!
 //! * **Replied ⇒ durable** (with the default `checkpoint_every = 1`): a
-//!   mutating request is checkpointed through the ledger's
-//!   [`write_verified`] *before* the `ok` reply exists; on checkpoint
-//!   failure the mutation is rolled back and a structured `err` returned.
+//!   mutating request is committed — a new session's header through the
+//!   ledger's [`write_verified`], an observation as one journal record
+//!   through [`append_verified`] — *before* the `ok` reply exists; on
+//!   commit failure the mutation is rolled back and a structured `err`
+//!   returned. The on-disk layout is described in [`crate::durable`].
 //!   The converse does not hold — a kill between commit and reply can leave
 //!   one acknowledged-looking observation on disk (at-least-once). Clients
 //!   needing exactly-once re-`attach` and compare the reported observation
@@ -43,21 +45,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use alic_core::runner::ledger::{quarantine_file, write_atomic, write_verified};
+use alic_core::runner::ledger::{
+    append_verified, quarantine_file, truncate_to, write_atomic, write_verified,
+};
 use alic_core::runner::panic_message;
 use alic_core::warmstore::{WarmKey, WarmStore};
+use alic_data::io::JsonValue;
 use alic_model::spec::SurrogateSpec;
 use alic_sim::space::ParameterSpace;
 use alic_stats::fault::{inject, injections, FaultSite};
 use alic_stats::policy::{self, RetryPolicy};
 use alic_stats::rng::derive_seed2;
 
+use crate::durable::{
+    journal_path, journal_record, journal_records, read_journal, DonorCache, DONORS_DIR,
+};
 use crate::protocol::{
     self, code, format_config, format_cost, sanitize, ErrReply, Request, MAX_LINE_BYTES,
 };
-use crate::session::{TuningSession, WarmStart};
+use crate::session::{Header, TuningSession, WarmStart, SESSION_SCHEMA};
 
-/// Subdirectory of the serve directory holding one checkpoint per session.
+/// Subdirectory of the serve directory holding each session's header
+/// (`<id>.json`) and journal (`<id>.log`).
 pub const SESSIONS_DIR: &str = "sessions";
 
 /// Default bound on resident live sessions.
@@ -86,7 +95,8 @@ const NOISE_REGIME: &str = "default";
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Root of the checkpoint directory (`<dir>/sessions/<id>.json`).
+    /// Root of the checkpoint directory (`<dir>/sessions/<id>.json` and
+    /// `.log`, `<dir>/donors/<hash>.json`).
     pub dir: PathBuf,
     /// Surrogate family for sessions that do not name one.
     pub default_model: SurrogateSpec,
@@ -94,7 +104,8 @@ pub struct ServeConfig {
     /// restarts (even with a different base seed) keep existing sessions'
     /// streams.
     pub seed: u64,
-    /// Bound on resident live sessions before LRU eviction kicks in.
+    /// Bound on resident live sessions before LRU eviction kicks in. Twice
+    /// this many parsed warm donors stay cached.
     pub max_live: usize,
     /// Per-request deadline.
     pub deadline: Duration,
@@ -283,7 +294,82 @@ impl ConnState {
 struct LiveEntry {
     session: TuningSession,
     last_touch: u64,
-    dirty: usize,
+    /// Observations whose journal records are committed on disk.
+    durable: usize,
+    /// Journal bytes those records span: the offset the next append starts
+    /// at.
+    journal_len: u64,
+    /// The journal may hold bytes past `journal_len` (a failed append or
+    /// rollback) that the next commit must cut off.
+    stale_tail: bool,
+}
+
+impl LiveEntry {
+    fn new(session: TuningSession, last_touch: u64, journal_len: u64) -> LiveEntry {
+        LiveEntry {
+            durable: session.observations(),
+            session,
+            last_touch,
+            journal_len,
+            stale_tail: false,
+        }
+    }
+
+    /// Observations acknowledged but not yet in the journal.
+    fn pending(&self) -> usize {
+        self.session.observations() - self.durable
+    }
+
+    /// Whether the journal disagrees with memory.
+    fn dirty(&self) -> bool {
+        self.pending() > 0 || self.stale_tail
+    }
+
+    /// Appends the pending records to the journal of the header at `path`
+    /// (cutting off any stale tail first), making memory and disk agree. A
+    /// clean entry writes nothing.
+    fn commit(&mut self, path: &Path) -> Result<(), ErrReply> {
+        if !self.dirty() {
+            return Ok(());
+        }
+        let records = journal_records(&self.session, self.durable);
+        match append_verified(&journal_path(path), self.journal_len, &records) {
+            Ok(len) => {
+                self.journal_len = len;
+                self.durable = self.session.observations();
+                self.stale_tail = false;
+                Ok(())
+            }
+            Err(e) => {
+                self.stale_tail = true;
+                Err(ErrReply::new(
+                    code::IO,
+                    format!("checkpointing {}: {e}", self.session.id()),
+                ))
+            }
+        }
+    }
+
+    /// Takes back the newest observation, which the surrogate rejected:
+    /// out of memory, and out of the journal if it was committed. A failed
+    /// truncation leaves the tail stale for the next commit to cut.
+    fn roll_back(&mut self, path: &Path) -> Result<(), ErrReply> {
+        let index = self.session.observations() - 1;
+        if self.durable > index {
+            let (config, cost) = &self.session.log()[index];
+            self.journal_len -= journal_record(index, config, *cost).len() as u64;
+            self.durable = index;
+            self.stale_tail = true;
+        }
+        self.session.unrecord();
+        if self.stale_tail {
+            truncate_to(&journal_path(path), self.journal_len).map_err(|e| {
+                ErrReply::new(code::IO, format!("rolling back {}: {e}", self.session.id()))
+            })?;
+            self.stale_tail = false;
+        }
+        Ok(())
+    }
 }
 
 /// The daemon's core: a bounded table of live sessions over a checkpoint
@@ -296,6 +382,7 @@ pub struct Engine {
     next_id: u64,
     busy_streak: u32,
     warm: Option<WarmStore>,
+    donors: DonorCache,
     state: HealthState,
     flush_failures: u64,
 }
@@ -330,6 +417,7 @@ impl Engine {
         // A corrupt store quarantines inside `open` and comes back empty,
         // so warm-start damage can never fail daemon startup.
         let warm = config.warm_store.as_deref().map(WarmStore::open);
+        let donors = DonorCache::new(config.dir.join(DONORS_DIR), 2 * config.max_live.max(1));
         Ok(Engine {
             config,
             live: BTreeMap::new(),
@@ -337,6 +425,7 @@ impl Engine {
             next_id,
             busy_streak: 0,
             warm,
+            donors,
             state: HealthState::Healthy,
             flush_failures: 0,
         })
@@ -499,7 +588,7 @@ impl Engine {
                 let seed = derive_seed2(self.config.seed, STREAM_SESSION_SEED, self.next_id);
                 // Consult the warm store; a snapshot that fails to restore
                 // degrades silently to a cold session.
-                let session = self
+                let mut session = self
                     .probe_warm(kernel, space, spec)
                     .and_then(|warm| {
                         TuningSession::new_warm(&id, kernel, space.clone(), spec, seed, warm).ok()
@@ -508,19 +597,14 @@ impl Engine {
                 let warm_obs = session.warm_observations();
                 // Durable before acknowledged: the session exists on disk
                 // before the client ever learns its id.
-                if let Err(e) = checkpoint_session(&self.session_path(&id), &session) {
+                let path = self.session_path(&id);
+                if let Err(e) = self.create_durable(&path, &mut session) {
                     return Err(self.degrade_write(e));
                 }
                 let dim = space.dimension();
                 self.next_id += 1;
-                self.live.insert(
-                    id.clone(),
-                    LiveEntry {
-                        session,
-                        last_touch: self.clock,
-                        dirty: 0,
-                    },
-                );
+                self.live
+                    .insert(id.clone(), LiveEntry::new(session, self.clock, 0));
                 conn.current = Some(id.clone());
                 let reply = match warm_obs {
                     Some(n) => format!("ok session {id} dim {dim} warm {n}"),
@@ -569,42 +653,39 @@ impl Engine {
                 let cadence = self.config.checkpoint_every.max(1);
                 let entry = self.live_mut(&id)?;
                 entry.session.record(config.clone(), *cost);
-                entry.dirty += 1;
-                if entry.dirty >= cadence {
-                    if let Err(e) = checkpoint_session(&path, &entry.session) {
+                if entry.pending() >= cadence {
+                    if let Err(e) = entry.commit(&path) {
                         entry.session.unrecord();
-                        entry.dirty -= 1;
                         // A failing commit write is the ladder's entry
                         // point: demote and shed with a backoff hint.
                         return Err(self.degrade_write(e));
                     }
-                    entry.dirty = 0;
                 }
                 let mut rollback_write_failed = false;
                 if let Err(model_failure) = entry.session.apply_last() {
-                    // The model rejected the observation: roll the log back
-                    // in memory, then bring the disk copy back in line.
-                    entry.session.unrecord();
-                    if checkpoint_session(&path, &entry.session).is_ok() {
-                        // Disk and memory agree on the rolled-back log.
-                        entry.dirty = 0;
+                    // The model rejected the observation: roll it back in
+                    // memory and in the journal, then commit what is still
+                    // pending so disk and memory agree.
+                    if entry
+                        .roll_back(&path)
+                        .and_then(|()| entry.commit(&path))
+                        .is_ok()
+                    {
                         if entry.session.rebuild().is_err() {
                             // The surrogate would not rebuild; drop the
                             // entry so the next attach replays from the
-                            // (now correct) checkpoint.
+                            // (now correct) journal.
                             self.live.remove(&id);
                         }
                     } else {
-                        // The rollback checkpoint failed, so the in-memory
-                        // log is the only correct copy: at cadence 1 the
-                        // disk still holds the rejected observation, at
-                        // larger cadences it may be missing acknowledged
-                        // ones. Keep the entry resident and dirty so a
-                        // later checkpoint, eviction, or flush repairs the
-                        // disk — dropping it here would resurrect the
-                        // rejected observation (or lose acknowledged ones)
-                        // on the next attach.
-                        entry.dirty = entry.dirty.max(1);
+                        // The rollback write failed, so the in-memory log
+                        // is the only correct copy: the journal may still
+                        // hold the rejected observation, or lack
+                        // acknowledged ones at larger cadences. Keep the
+                        // entry resident and dirty so a later checkpoint,
+                        // eviction, or flush repairs the disk — dropping it
+                        // here would resurrect the rejected observation (or
+                        // lose acknowledged ones) on the next attach.
                         let _ = entry.session.rebuild();
                         rollback_write_failed = true;
                     }
@@ -636,9 +717,8 @@ impl Engine {
                 let id = attached(conn)?;
                 self.ensure_live(&id)?;
                 let path = self.session_path(&id);
-                match checkpoint_session(&path, &self.live_ref(&id)?.session) {
+                match self.live_mut(&id)?.commit(&path) {
                     Ok(()) => {
-                        self.live_mut(&id)?.dirty = 0;
                         self.busy_streak = 0;
                         Ok((
                             format!("ok checkpoint {SESSIONS_DIR}/{id}.json"),
@@ -852,56 +932,109 @@ impl Engine {
             .ok_or_else(|| Self::internal_missing(id))
     }
 
-    /// Makes `id` resident: a no-op when live, otherwise a checkpoint
-    /// restore (with LRU eviction to make room).
+    /// Makes `id` resident: a no-op when live, otherwise a restore from
+    /// its header and journal (with LRU eviction to make room).
     fn ensure_live(&mut self, id: &str) -> Result<(), ErrReply> {
         if !self.live.contains_key(id) {
             let path = self.session_path(id);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(ErrReply::new(
-                        code::UNKNOWN_SESSION,
-                        format!("no session {id} (see `sessions`)"),
-                    ));
-                }
-                Err(e) => return Err(ErrReply::new(code::IO, format!("reading {id}: {e}"))),
-            };
-            let session = match TuningSession::from_checkpoint_str(&text) {
-                Ok(session) => session,
+            let (session, journal_len) = match self.restore(id, &path) {
+                Ok(restored) => restored,
                 Err(e) if e.code == code::CORRUPT => {
                     // Preserve the evidence and report structured
                     // corruption; the id is gone until re-created.
-                    quarantine_file(&path).map_err(|qe| {
+                    quarantine_session(&path).map_err(|qe| {
                         ErrReply::new(code::IO, format!("quarantining {id}: {qe}"))
                     })?;
                     return Err(ErrReply::new(
                         code::CORRUPT,
-                        format!("checkpoint of {id} was damaged and quarantined to {id}.json.corrupt: {}", e.msg),
+                        format!(
+                            "checkpoint of {id} was damaged and quarantined to \
+                             {id}.json.corrupt: {}",
+                            e.msg
+                        ),
                     ));
                 }
                 Err(e) => return Err(e),
             };
-            if session.id() != id {
-                quarantine_file(&path)
-                    .map_err(|qe| ErrReply::new(code::IO, format!("quarantining {id}: {qe}")))?;
-                return Err(ErrReply::new(
-                    code::CORRUPT,
-                    format!("checkpoint of {id} claims id {}; quarantined", session.id()),
-                ));
-            }
             self.make_room()?;
             self.live.insert(
                 id.to_string(),
-                LiveEntry {
-                    session,
-                    last_touch: self.clock,
-                    dirty: 0,
-                },
+                LiveEntry::new(session, self.clock, journal_len),
             );
         }
         self.live_mut(id)?.last_touch = self.clock;
         Ok(())
+    }
+
+    /// Reads session `id` back from its header at `path`: a v2 header
+    /// adopts its donor (cached, or parsed once from `donors/`) and replays
+    /// its journal; a v1 checkpoint left by an older daemon replays its own
+    /// log and is rewritten as header plus journal. Returns the session and
+    /// its journal's committed length.
+    fn restore(&mut self, id: &str, path: &Path) -> Result<(TuningSession, u64), ErrReply> {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(ErrReply::new(
+                    code::UNKNOWN_SESSION,
+                    format!("no session {id} (see `sessions`)"),
+                ));
+            }
+            Err(e) => return Err(ErrReply::new(code::IO, format!("reading {id}: {e}"))),
+        };
+        let corrupt = |detail: String| ErrReply::new(code::CORRUPT, detail);
+        let doc =
+            JsonValue::parse(&text).map_err(|e| corrupt(format!("unparseable checkpoint: {e}")))?;
+        let schema = doc.field("schema").and_then(|v| v.as_str()).ok();
+        let (session, journal_len) = if schema == Some(SESSION_SCHEMA) {
+            let mut session = TuningSession::from_checkpoint_doc(&doc)?;
+            let mut len = 0;
+            if session.id() == id {
+                len = self.create_durable(path, &mut session)?;
+            }
+            (session, len)
+        } else {
+            let header = Header::decode(&doc)?;
+            let donor = match &header.donor {
+                Some((hash, _)) => Some(self.donors.load(hash)?),
+                None => None,
+            };
+            let bytes = match std::fs::read(journal_path(path)) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Err(corrupt(format!("the journal of {id} is missing")));
+                }
+                Err(e) => return Err(ErrReply::new(code::IO, format!("reading {id}: {e}"))),
+            };
+            let journal = read_journal(&bytes, &header.session).map_err(corrupt)?;
+            (header.restore(donor, journal.log)?, journal.len)
+        };
+        if session.id() != id {
+            return Err(corrupt(format!(
+                "checkpoint of {id} claims id {}",
+                session.id()
+            )));
+        }
+        Ok((session, journal_len))
+    }
+
+    /// Writes the durable form of `session` beside `path`: its donor (once
+    /// per content hash), its journal holding the records logged so far,
+    /// and last its header, whose rename commits the session. Returns the
+    /// journal's length.
+    fn create_durable(
+        &mut self,
+        path: &Path,
+        session: &mut TuningSession,
+    ) -> Result<u64, ErrReply> {
+        let donor = self.donors.store(session)?;
+        let id = session.id().to_string();
+        let io =
+            |e: alic_core::CoreError| ErrReply::new(code::IO, format!("checkpointing {id}: {e}"));
+        let journal = journal_records(session, 0);
+        write_verified(&journal_path(path), &journal).map_err(io)?;
+        write_verified(path, &session.header_string(donor.as_deref())?).map_err(io)?;
+        Ok(journal.len() as u64)
     }
 
     /// Evicts least-recently-used sessions until a slot is free, flushing
@@ -924,10 +1057,9 @@ impl Engine {
                     "live table at capacity yet empty; eviction bookkeeping slipped",
                 ));
             };
-            let dirty = self.live[&victim].dirty > 0;
-            if dirty {
-                let path = self.session_path(&victim);
-                if let Err(e) = checkpoint_session(&path, &self.live[&victim].session) {
+            let path = self.session_path(&victim);
+            if let Some(entry) = self.live.get_mut(&victim) {
+                if let Err(e) = entry.commit(&path) {
                     // A table that cannot evict cannot admit: demote to
                     // read-only until the probe proves writes work again.
                     self.demote(HealthState::ReadOnly);
@@ -939,11 +1071,10 @@ impl Engine {
                 }
             }
             // An evicted session's trained surrogate is exactly what the
-            // warm store wants: harvest it before the entry disappears.
-            if let Some(entry) = self.live.get(&victim) {
+            // warm store wants: harvest it as the entry goes.
+            if let Some(entry) = self.live.remove(&victim) {
                 Self::harvest_warm(&mut self.warm, &entry.session);
             }
-            self.live.remove(&victim);
         }
         self.busy_streak = 0;
         Ok(())
@@ -994,15 +1125,13 @@ impl Engine {
         let mut outcomes = Vec::new();
         let ids: Vec<String> = self.live.keys().cloned().collect();
         for id in ids {
-            let outcome = if self.live[&id].dirty > 0 {
-                let path = self.session_path(&id);
-                match checkpoint_session(&path, &self.live[&id].session) {
-                    Ok(()) => {
-                        if let Some(entry) = self.live.get_mut(&id) {
-                            entry.dirty = 0;
-                        }
-                        FlushOutcome::Flushed
-                    }
+            let path = self.session_path(&id);
+            let Some(entry) = self.live.get_mut(&id) else {
+                continue;
+            };
+            let outcome = if entry.dirty() {
+                match entry.commit(&path) {
+                    Ok(()) => FlushOutcome::Flushed,
                     Err(e) => {
                         self.flush_failures += 1;
                         FlushOutcome::Failed(e.msg)
@@ -1054,18 +1183,13 @@ fn model_err(e: alic_model::ModelError) -> ErrReply {
     ErrReply::new(code::MODEL, e.to_string())
 }
 
-/// Writes one session checkpoint through the ledger's atomic, retrying,
-/// read-back-verifying writer.
-///
-/// Verification matters more here than in the campaign ledger: a torn unit
-/// record heals by deterministic re-execution, but a session checkpoint is
-/// the only copy of client-provided observations — a torn write that went
-/// undetected would surface later as quarantined (lost) state. The
-/// verified writer turns it into a structured, retryable error instead.
-fn checkpoint_session(path: &Path, session: &TuningSession) -> Result<(), ErrReply> {
-    let text = session.to_checkpoint_string()?;
-    write_verified(path, &text)
-        .map_err(|e| ErrReply::new(code::IO, format!("checkpointing {}: {e}", session.id())))
+/// Moves a damaged session's header and journal aside as `*.corrupt`.
+fn quarantine_session(path: &Path) -> alic_core::Result<()> {
+    let journal = journal_path(path);
+    if journal.exists() {
+        quarantine_file(&journal)?;
+    }
+    quarantine_file(path)
 }
 
 #[cfg(test)]

@@ -9,12 +9,11 @@
 //! the self-healing campaign runner:
 //!
 //! * every acknowledged mutation is durable before the reply is written —
-//!   sessions checkpoint through the campaign ledger's
-//!   [`write_verified`](alic_core::runner::ledger::write_verified) (atomic
-//!   rename, bounded retry with exponential backoff, read-back
-//!   verification), so a SIGKILLed daemon
+//!   a session is a write-once header plus an append-only journal of
+//!   observation records ([`durable`]), written through the campaign
+//!   ledger's retrying, read-back-verifying writers, so a SIGKILLed daemon
 //!   restarts and resumes every session with **bit-identical** surrogate
-//!   state (checkpoints are event logs replayed through the deterministic
+//!   state (the journal is an event log replayed through the deterministic
 //!   fit/update paths, not serialized model internals);
 //! * read-only requests (`suggest`, `best`) are pure functions of durable
 //!   state, so their replies are byte-identical before and after a restart;
@@ -52,6 +51,7 @@
 
 pub mod chaos;
 pub mod daemon;
+pub mod durable;
 pub mod engine;
 pub mod protocol;
 pub mod session;

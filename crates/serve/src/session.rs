@@ -1,6 +1,6 @@
 //! Tuning sessions: a live incremental surrogate plus its durable event log.
 //!
-//! A cold session never serializes model internals. Its checkpoint is an
+//! A cold session never serializes model internals. Its durable state is an
 //! *event log* — (space, model family, seed, observations in arrival order)
 //! — and restoring replays that log through the same deterministic
 //! fit/update path the live session used. The models' determinism contracts
@@ -9,13 +9,23 @@
 //! killed, which in turn makes the read-only requests (`suggest`, `best`)
 //! — pure functions of the log — byte-identical across a restart.
 //!
-//! A **warm-started** session additionally carries the seeding surrogate's
-//! snapshot (copied out of the warm store at creation) *inside its own
-//! checkpoint*, so the replay recipe becomes "restore the snapshot, then
-//! update once per logged observation" — still a pure function of the
-//! checkpoint bytes, never of the warm store's later contents.
+//! A **warm-started** session additionally adopts the seeding surrogate's
+//! snapshot (copied out of the warm store at creation), so the replay
+//! recipe becomes "restore the snapshot, then update once per logged
+//! observation" — still a pure function of durable bytes, never of the
+//! warm store's later contents.
+//!
+//! The log has two durable forms:
+//!
+//! * the self-contained v1 checkpoint ([`TuningSession::to_checkpoint_string`]),
+//!   one JSON document holding the identity, every observation and, for a
+//!   warm session, the whole donor snapshot;
+//! * the daemon's v2 form ([`crate::durable`]): a write-once header
+//!   naming the donor by content hash, plus an append-only journal of
+//!   observation records.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use alic_core::acquisition::rank;
 use alic_data::io::JsonValue;
@@ -28,8 +38,12 @@ use alic_stats::rng::seeded_substream;
 
 use crate::protocol::{code, sanitize, ErrReply};
 
-/// Schema tag of a session checkpoint file.
+/// Schema tag of a self-contained (v1) session checkpoint.
 pub const SESSION_SCHEMA: &str = "alic-serve-session/v1";
+
+/// Schema tag of a write-once session header (`sessions/<id>.json`), whose
+/// observations live in the journal next to it.
+pub const HEADER_SCHEMA: &str = "alic-serve-session/v2";
 
 /// Observations required before the surrogate is first fitted; until then
 /// suggestions are model-free random exploration (the learner's warmup).
@@ -46,8 +60,8 @@ pub const REFERENCE_WINDOW: usize = 32;
 const STREAM_SUGGEST: u64 = 0x5347;
 
 /// A warm-start seed: the trained surrogate snapshot a session adopted at
-/// creation. Copied into the session checkpoint so replay never depends on
-/// the warm store again.
+/// creation. Kept with the session's durable state so replay never depends
+/// on the warm store again.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     /// `alic-model-snapshot/v1` document of the seeding surrogate.
@@ -55,6 +69,25 @@ pub struct WarmStart {
     /// Observations the seeding surrogate had been trained on (provenance
     /// for replies and reporting; the snapshot itself carries the rows).
     pub observations: usize,
+}
+
+/// The donor a warm session adopted. The snapshot is shared: every session
+/// that adopted the same donor holds the same parsed document.
+#[derive(Debug, Clone)]
+struct Adopted {
+    snapshot: Arc<Snapshot>,
+    observations: usize,
+}
+
+/// A decoded v2 session header: the (empty) session it describes, plus the
+/// donor reference a warm session must adopt before its journal replays.
+#[derive(Debug)]
+pub(crate) struct Header {
+    /// The session's identity, space, model family and seed; no log, no
+    /// model.
+    pub(crate) session: TuningSession,
+    /// `(donor content hash, donor observations)` for a warm session.
+    pub(crate) donor: Option<(String, usize)>,
 }
 
 /// One tuning session: identity, space, model family, and the observation
@@ -68,7 +101,7 @@ pub struct TuningSession {
     seed: u64,
     log: Vec<(Configuration, f64)>,
     model: Option<Box<dyn ActiveSurrogate + Send>>,
-    warm: Option<WarmStart>,
+    warm: Option<Adopted>,
 }
 
 impl TuningSession {
@@ -110,7 +143,10 @@ impl TuningSession {
         warm: WarmStart,
     ) -> Result<TuningSession, ErrReply> {
         let mut session = TuningSession::new(id, kernel, space, spec, seed);
-        session.warm = Some(warm);
+        session.warm = Some(Adopted {
+            snapshot: Arc::new(warm.snapshot),
+            observations: warm.observations,
+        });
         session.rebuild().map_err(|e| {
             ErrReply::new(
                 code::MODEL,
@@ -330,13 +366,89 @@ impl TuningSession {
         Some((model.observation_count(), doc))
     }
 
-    /// Serializes the session checkpoint (canonical JSON + newline).
+    /// Serializes the self-contained v1 checkpoint (canonical JSON +
+    /// newline): identity, every observation and, for a warm session, the
+    /// whole donor snapshot. The daemon writes the v2 header and journal
+    /// instead ([`crate::durable`]) and reads this form only to upgrade it.
     ///
     /// # Errors
     ///
     /// Returns an `io` error reply if serialization fails (a non-finite
     /// cost cannot enter the log, so this does not happen in practice).
     pub fn to_checkpoint_string(&self) -> Result<String, ErrReply> {
+        let observations: Vec<JsonValue> = self
+            .log
+            .iter()
+            .map(|(c, y)| {
+                JsonValue::Array(vec![
+                    JsonValue::Array(
+                        c.values()
+                            .iter()
+                            .map(|&v| JsonValue::Number(v as f64))
+                            .collect(),
+                    ),
+                    JsonValue::Number(*y),
+                ])
+            })
+            .collect();
+        let mut fields = self.identity_fields(SESSION_SCHEMA);
+        fields.push(("observations".to_string(), JsonValue::Array(observations)));
+        // Cold checkpoints omit the field entirely, keeping their bytes
+        // identical to pre-warm-store builds.
+        if let Some(warm) = &self.warm {
+            fields.push((
+                "warm".to_string(),
+                JsonValue::Object(vec![
+                    (
+                        "observations".to_string(),
+                        JsonValue::Number(warm.observations as f64),
+                    ),
+                    ("snapshot".to_string(), Snapshot::clone(&warm.snapshot)),
+                ]),
+            ));
+        }
+        self.render(fields)
+    }
+
+    /// Serializes the write-once v2 header (canonical JSON + newline): the
+    /// identity plus, for a warm session, the donor's observation count and
+    /// content hash `donor`. The donor document itself is stored once under
+    /// that hash, and the observations go to the session's journal.
+    ///
+    /// # Errors
+    ///
+    /// An `internal` reply when `donor` is given for a cold session or
+    /// missing for a warm one; `io` if serialization fails.
+    pub(crate) fn header_string(&self, donor: Option<&str>) -> Result<String, ErrReply> {
+        let mut fields = self.identity_fields(HEADER_SCHEMA);
+        match (&self.warm, donor) {
+            (None, None) => {}
+            (Some(warm), Some(hash)) => fields.push((
+                "warm".to_string(),
+                JsonValue::Object(vec![
+                    (
+                        "observations".to_string(),
+                        JsonValue::Number(warm.observations as f64),
+                    ),
+                    ("donor".to_string(), JsonValue::String(hash.to_string())),
+                ]),
+            )),
+            _ => {
+                return Err(ErrReply::new(
+                    code::INTERNAL,
+                    format!(
+                        "header of {}: donor reference disagrees with the session",
+                        self.id
+                    ),
+                ))
+            }
+        }
+        self.render(fields)
+    }
+
+    /// The fields both durable forms open with: schema, id, kernel, model,
+    /// seed and space.
+    fn identity_fields(&self, schema: &str) -> Vec<(String, JsonValue)> {
         let params: Vec<JsonValue> = self
             .space
             .params()
@@ -353,26 +465,8 @@ impl TuningSession {
                 ])
             })
             .collect();
-        let observations: Vec<JsonValue> = self
-            .log
-            .iter()
-            .map(|(c, y)| {
-                JsonValue::Array(vec![
-                    JsonValue::Array(
-                        c.values()
-                            .iter()
-                            .map(|&v| JsonValue::Number(v as f64))
-                            .collect(),
-                    ),
-                    JsonValue::Number(*y),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            (
-                "schema".to_string(),
-                JsonValue::String(SESSION_SCHEMA.to_string()),
-            ),
+        vec![
+            ("schema".to_string(), JsonValue::String(schema.to_string())),
             ("id".to_string(), JsonValue::String(self.id.clone())),
             ("kernel".to_string(), JsonValue::String(self.kernel.clone())),
             (
@@ -386,30 +480,18 @@ impl TuningSession {
                 JsonValue::String(format!("{:016x}", self.seed)),
             ),
             ("space".to_string(), JsonValue::Array(params)),
-            ("observations".to_string(), JsonValue::Array(observations)),
-        ];
-        // Cold checkpoints omit the field entirely, keeping their bytes
-        // identical to pre-warm-store builds.
-        if let Some(warm) = &self.warm {
-            fields.push((
-                "warm".to_string(),
-                JsonValue::Object(vec![
-                    (
-                        "observations".to_string(),
-                        JsonValue::Number(warm.observations as f64),
-                    ),
-                    ("snapshot".to_string(), warm.snapshot.clone()),
-                ]),
-            ));
-        }
-        let doc = JsonValue::Object(fields);
-        doc.to_json_string()
+        ]
+    }
+
+    fn render(&self, fields: Vec<(String, JsonValue)>) -> Result<String, ErrReply> {
+        JsonValue::Object(fields)
+            .to_json_string()
             .map(|s| s + "\n")
             .map_err(|e| ErrReply::new(code::IO, format!("serializing session {}: {e}", self.id)))
     }
 
-    /// Restores a session from checkpoint text and replays its log into a
-    /// rebuilt surrogate.
+    /// Restores a session from v1 checkpoint text and replays its log into
+    /// a rebuilt surrogate.
     ///
     /// # Errors
     ///
@@ -418,13 +500,46 @@ impl TuningSession {
     /// itself fails (e.g. an injected jitter-ladder exhaustion) — the file
     /// is fine and a retry may succeed.
     pub fn from_checkpoint_str(text: &str) -> Result<TuningSession, ErrReply> {
+        let doc = JsonValue::parse(text)
+            .map_err(|e| ErrReply::new(code::CORRUPT, format!("unparseable checkpoint: {e}")))?;
+        Self::from_checkpoint_doc(&doc)
+    }
+
+    /// [`TuningSession::from_checkpoint_str`] on an already parsed document.
+    pub(crate) fn from_checkpoint_doc(doc: &JsonValue) -> Result<TuningSession, ErrReply> {
         let corrupt = |detail: String| ErrReply::new(code::CORRUPT, detail);
-        let doc =
-            JsonValue::parse(text).map_err(|e| corrupt(format!("unparseable checkpoint: {e}")))?;
-        let mut session = Self::decode(&doc).map_err(corrupt)?;
-        session.rebuild().map_err(|e| {
-            // A snapshot that no longer restores is damage to the
-            // checkpoint itself (quarantined), not a transient model fault.
+        let mut session = Self::decode_identity(doc, SESSION_SCHEMA).map_err(corrupt)?;
+        for entry in doc
+            .field("observations")
+            .and_then(|v| v.as_array())
+            .map_err(|e| corrupt(format!("field observations: {e}")))?
+        {
+            let observation = session.decode_observation(entry).map_err(corrupt)?;
+            session.log.push(observation);
+        }
+        if let Some(warm_doc) = optional_field(doc, "warm") {
+            let observations = warm_doc
+                .field("observations")
+                .and_then(|v| v.as_usize())
+                .map_err(|e| corrupt(format!("warm: {e}")))?;
+            let snapshot = warm_doc
+                .field("snapshot")
+                .map_err(|e| corrupt(format!("warm: {e}")))?
+                .clone();
+            session.warm = Some(Adopted {
+                snapshot: Arc::new(snapshot),
+                observations,
+            });
+        }
+        session.replayed()
+    }
+
+    /// Rebuilds the surrogate from the log, mapping failures to replies: a
+    /// snapshot that no longer restores is damage to the durable state
+    /// itself (`corrupt`, quarantined), anything else a transient `model`
+    /// fault.
+    fn replayed(mut self) -> Result<TuningSession, ErrReply> {
+        self.rebuild().map_err(|e| {
             let code = match &e {
                 ModelError::Snapshot(_) => code::CORRUPT,
                 _ => code::MODEL,
@@ -433,15 +548,29 @@ impl TuningSession {
                 code,
                 format!(
                     "replaying session {}: {}",
-                    session.id,
+                    self.id,
                     sanitize(&e.to_string())
                 ),
             )
         })?;
-        Ok(session)
+        Ok(self)
     }
 
-    fn decode(doc: &JsonValue) -> Result<TuningSession, String> {
+    /// The snapshot a warm session adopted, shared with every other session
+    /// that adopted the same donor; `None` for a cold session.
+    pub(crate) fn donor(&self) -> Option<&Arc<Snapshot>> {
+        self.warm.as_ref().map(|w| &w.snapshot)
+    }
+
+    /// Swaps the adopted snapshot for `shared`, an equal document another
+    /// session already holds, so both keep one copy in memory.
+    pub(crate) fn share_donor(&mut self, shared: Arc<Snapshot>) {
+        if let Some(warm) = &mut self.warm {
+            warm.snapshot = shared;
+        }
+    }
+
+    fn decode_identity(doc: &JsonValue, expected: &str) -> Result<TuningSession, String> {
         let field_str = |name: &str| -> Result<String, String> {
             Ok(doc
                 .field(name)
@@ -450,8 +579,8 @@ impl TuningSession {
                 .to_string())
         };
         let schema = field_str("schema")?;
-        if schema != SESSION_SCHEMA {
-            return Err(format!("schema {schema:?} (expected {SESSION_SCHEMA:?})"));
+        if schema != expected {
+            return Err(format!("schema {schema:?} (expected {expected:?})"));
         }
         let id = field_str("id")?;
         let kernel = field_str("kernel")?;
@@ -491,56 +620,110 @@ impl TuningSession {
             params.push(ParamSpec::new(name, kind, min, max));
         }
         let space = ParameterSpace::new(params).map_err(|e| format!("space: {e}"))?;
-        let mut session = TuningSession::new(id, kernel, space, spec, seed);
-        for entry in doc
-            .field("observations")
-            .and_then(|v| v.as_array())
-            .map_err(|e| format!("field observations: {e}"))?
-        {
-            let pair = entry.as_array().map_err(|e| format!("observation: {e}"))?;
-            if pair.len() != 2 {
-                return Err("observation entries are [values, cost] pairs".to_string());
-            }
-            let mut values = Vec::new();
-            for v in pair[0]
-                .as_array()
-                .map_err(|e| format!("observation: {e}"))?
-            {
-                let n = v.as_u64().map_err(|e| format!("observation value: {e}"))?;
-                values.push(
-                    u32::try_from(n).map_err(|_| "observation value out of range".to_string())?,
-                );
-            }
-            let config = Configuration::new(values);
-            session
-                .space
-                .validate(&config)
-                .map_err(|e| format!("observation outside the space: {e}"))?;
-            let cost = pair[1]
-                .as_f64()
-                .map_err(|e| format!("observation cost: {e}"))?;
-            if !cost.is_finite() {
-                return Err("observation cost is not finite".to_string());
-            }
-            session.log.push((config, cost));
+        Ok(TuningSession::new(id, kernel, space, spec, seed))
+    }
+
+    fn decode_observation(&self, entry: &JsonValue) -> Result<(Configuration, f64), String> {
+        let pair = entry.as_array().map_err(|e| format!("observation: {e}"))?;
+        if pair.len() != 2 {
+            return Err("observation entries are [values, cost] pairs".to_string());
         }
-        if let JsonValue::Object(fields) = doc {
-            if let Some((_, warm_doc)) = fields.iter().find(|(k, _)| k == "warm") {
-                let observations = warm_doc
+        let mut values = Vec::new();
+        for v in pair[0]
+            .as_array()
+            .map_err(|e| format!("observation: {e}"))?
+        {
+            let n = v.as_u64().map_err(|e| format!("observation value: {e}"))?;
+            values
+                .push(u32::try_from(n).map_err(|_| "observation value out of range".to_string())?);
+        }
+        let cost = pair[1]
+            .as_f64()
+            .map_err(|e| format!("observation cost: {e}"))?;
+        self.checked_observation(Configuration::new(values), cost)
+    }
+
+    /// Admits a decoded observation into a restored log: the configuration
+    /// must lie in the space and the cost must be finite.
+    pub(crate) fn checked_observation(
+        &self,
+        config: Configuration,
+        cost: f64,
+    ) -> Result<(Configuration, f64), String> {
+        self.space
+            .validate(&config)
+            .map_err(|e| format!("observation outside the space: {e}"))?;
+        if !cost.is_finite() {
+            return Err("observation cost is not finite".to_string());
+        }
+        Ok((config, cost))
+    }
+}
+
+impl Header {
+    /// Decodes a v2 header document.
+    ///
+    /// # Errors
+    ///
+    /// A `corrupt` reply for anything structurally wrong.
+    pub(crate) fn decode(doc: &JsonValue) -> Result<Header, ErrReply> {
+        let corrupt = |detail: String| ErrReply::new(code::CORRUPT, detail);
+        let session = TuningSession::decode_identity(doc, HEADER_SCHEMA).map_err(corrupt)?;
+        let donor = match optional_field(doc, "warm") {
+            None => None,
+            Some(warm) => {
+                let observations = warm
                     .field("observations")
                     .and_then(|v| v.as_usize())
-                    .map_err(|e| format!("warm: {e}"))?;
-                let snapshot = warm_doc
-                    .field("snapshot")
-                    .map_err(|e| format!("warm: {e}"))?
-                    .clone();
-                session.warm = Some(WarmStart {
-                    snapshot,
-                    observations,
-                });
+                    .map_err(|e| corrupt(format!("warm: {e}")))?;
+                let hash = warm
+                    .field("donor")
+                    .and_then(|v| v.as_str())
+                    .map_err(|e| corrupt(format!("warm: {e}")))?;
+                Some((hash.to_string(), observations))
             }
-        }
-        Ok(session)
+        };
+        Ok(Header { session, donor })
+    }
+
+    /// The restored session: adopts `donor` (the document the header's hash
+    /// names, `None` for a cold session), takes `log` as its observations
+    /// and replays them into a rebuilt surrogate.
+    ///
+    /// # Errors
+    ///
+    /// As [`TuningSession::from_checkpoint_str`]'s replay.
+    pub(crate) fn restore(
+        self,
+        donor: Option<Arc<Snapshot>>,
+        log: Vec<(Configuration, f64)>,
+    ) -> Result<TuningSession, ErrReply> {
+        let mut session = self.session;
+        session.warm = match (self.donor, donor) {
+            (None, _) => None,
+            (Some((_, observations)), Some(snapshot)) => Some(Adopted {
+                snapshot,
+                observations,
+            }),
+            (Some((hash, _)), None) => {
+                return Err(ErrReply::new(
+                    code::CORRUPT,
+                    format!(
+                        "session {} names donor {hash}, which is missing",
+                        session.id
+                    ),
+                ))
+            }
+        };
+        session.log = log;
+        session.replayed()
+    }
+}
+
+fn optional_field<'a>(doc: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
+    match doc {
+        JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+        _ => None,
     }
 }
 

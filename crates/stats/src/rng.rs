@@ -44,6 +44,21 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Hashes a byte string with a SplitMix64 chain: the salt and the length
+/// seed the chain, then each 8-byte little-endian word (zero-padded tail)
+/// is folded in through [`derive_seed`]. Deterministic across processes
+/// and platforms, so the hashes may be stored on disk (warm-store
+/// fingerprints, content-addressed serve donors, journal checksums).
+pub fn hash_bytes(salt: u64, bytes: &[u8]) -> u64 {
+    let mut h = derive_seed(salt, bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = derive_seed(h, u64::from_le_bytes(word));
+    }
+    h
+}
+
 /// Creates a PRNG for a named sub-stream of a base seed.
 pub fn seeded_stream(base: u64, stream: u64) -> Rng {
     seeded_rng(derive_seed(base, stream))

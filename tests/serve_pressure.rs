@@ -5,8 +5,8 @@
 //! stall injections — with a client that retries through every structured
 //! `err` — settles every request to a reply **byte-identical** to the
 //! fault-free run's, ends the run back in the `healthy` ladder state, and a
-//! final `drain` reports every session flushed with its checkpoint
-//! byte-identical to the fault-free checkpoint. Replies under pressure are
+//! final `drain` reports every session flushed with its header and journal
+//! byte-identical to the fault-free run's. Replies under pressure are
 //! thus a prefix-consistent degradation of the fault-free run: the shed
 //! requests disappear, the settled ones are exactly the baseline's.
 //!
@@ -75,10 +75,18 @@ fn workload() -> Vec<&'static str> {
     ]
 }
 
-/// Fault-free replies plus the fault-free final checkpoint bytes, computed
-/// once under a clean (guarded) plane.
-fn baseline() -> &'static (Vec<String>, String) {
-    static BASELINE: OnceLock<(Vec<String>, String)> = OnceLock::new();
+/// The session's durable bytes: its header and its journal.
+fn durable_bytes(dir: &Path) -> (String, String) {
+    let read = |ext: &str| {
+        std::fs::read_to_string(dir.join("sessions").join(format!("{SID}.{ext}"))).unwrap()
+    };
+    (read("json"), read("log"))
+}
+
+/// Fault-free replies plus the fault-free final header and journal bytes,
+/// computed once under a clean (guarded) plane.
+fn baseline() -> &'static (Vec<String>, (String, String)) {
+    static BASELINE: OnceLock<(Vec<String>, (String, String))> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let _guard = fault::exclusive_clean();
         let dir = temp_dir("baseline");
@@ -94,8 +102,7 @@ fn baseline() -> &'static (Vec<String>, String) {
                 reply
             })
             .collect();
-        let checkpoint =
-            std::fs::read_to_string(dir.join("sessions").join(format!("{SID}.json"))).unwrap();
+        let checkpoint = durable_bytes(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
         (replies, checkpoint)
     })
@@ -228,11 +235,11 @@ proptest! {
         let health = engine.handle_line(&mut conn, "health").reply.unwrap();
         prop_assert!(health.starts_with("ok health state=draining "), "{}", health);
 
-        // Every acknowledged observe survived into the checkpoint, which is
-        // byte-identical to the fault-free run's.
-        let checkpoint =
-            std::fs::read_to_string(dir.join("sessions").join(format!("{SID}.json"))).unwrap();
-        prop_assert_eq!(&checkpoint, base_checkpoint);
+        // Every acknowledged observe survived into the journal, and header
+        // and journal are byte-identical to the fault-free run's.
+        let checkpoint = durable_bytes(&dir);
+        prop_assert_eq!(&checkpoint.0, &base_checkpoint.0);
+        prop_assert_eq!(&checkpoint.1, &base_checkpoint.1);
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
     }
